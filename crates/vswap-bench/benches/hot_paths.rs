@@ -2,12 +2,17 @@
 //! primitives: the bitmap frame allocator, LRU requeue on the intrusive
 //! lists, origin-map lookups, and swap-slot allocation. These are the
 //! per-fault building blocks whose cost bounds pages-simulated/sec; the
-//! suite-level number lives in `BENCH_7.json` (see EXPERIMENTS.md).
+//! suite-level number lives in `BENCH_7.json` (see EXPERIMENTS.md). The
+//! `construction` group times the per-guest tables a machine builds for
+//! every VM, so an eager per-page fill shows up at its own layer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use vswap_bench::experiments::common;
+use vswap_bench::Scale;
+use vswap_guestos::{GuestKernel, GuestSwap};
 use vswap_hostos::{OriginMap, SlotInfo, SwapArea};
-use vswap_mem::{ContentLabel, FrameOwner, Gfn, HostFrameTable, IndexList, VmId};
+use vswap_mem::{ContentLabel, Ept, FrameOwner, Gfn, HostFrameTable, IndexList, VmId};
 
 /// One host's DRAM at smoke scale (1 GiB / 4 KiB pages).
 const DRAM_FRAMES: u64 = 262_144;
@@ -101,11 +106,29 @@ fn bench_slot_alloc(c: &mut Criterion) {
     group.finish();
 }
 
+/// The tables `Machine::add_vm` builds for one paper-scale guest (512 MiB
+/// memory, 1 GiB swap, 20 GiB disk). All are zero at rest, so each costs
+/// an `alloc_zeroed` rather than a write per page; the guest kernel also
+/// writes its kernel-page prefix.
+fn bench_construction(c: &mut Criterion) {
+    let guest = common::linux_vm(Scale::Paper, "guest", 512, 128).guest;
+    let mut group = c.benchmark_group("construction");
+    group.bench_function("ept", |b| b.iter(|| black_box(Ept::new(guest.memory.pages()))));
+    group.bench_function("guest_swap", |b| {
+        b.iter(|| black_box(GuestSwap::new(0, guest.swap.pages())));
+    });
+    group.bench_function("guest_kernel", |b| {
+        b.iter(|| black_box(GuestKernel::new(guest.clone(), 1)));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_frame_table,
     bench_lru_requeue,
     bench_origin_lookup,
-    bench_slot_alloc
+    bench_slot_alloc,
+    bench_construction
 );
 criterion_main!(benches);

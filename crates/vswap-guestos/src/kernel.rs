@@ -36,6 +36,121 @@ pub enum GuestPageState {
     Balloon,
 }
 
+// Packed page-state encoding: one `u64` per gfn with `0` meaning `Free`,
+// so a fresh table is all-zero bytes and construction writes only the
+// kernel-page prefix. Bits 0..3 hold the state kind; a cache page keeps its
+// image page in bits 3..64, an anonymous page its process in bits 3..32
+// and its virtual page in bits 32..64.
+const STATE_KERNEL: u64 = 1;
+const STATE_BALLOON: u64 = 2;
+const STATE_CACHE: u64 = 3;
+const STATE_ANON: u64 = 4;
+const STATE_KIND_BITS: u64 = 0x7;
+const STATE_SHIFT: u32 = 3;
+const STATE_PROC_BITS: u64 = (1 << 29) - 1;
+const STATE_VPN_SHIFT: u32 = 32;
+
+#[inline]
+fn pack_state(state: GuestPageState) -> u64 {
+    match state {
+        GuestPageState::Free => 0,
+        GuestPageState::Kernel => STATE_KERNEL,
+        GuestPageState::Balloon => STATE_BALLOON,
+        GuestPageState::Cache { image_page } => {
+            assert!(image_page < 1 << (64 - STATE_SHIFT), "image page out of packed range");
+            STATE_CACHE | image_page << STATE_SHIFT
+        }
+        GuestPageState::Anon { proc, vpn } => {
+            assert!(u64::from(proc.get()) <= STATE_PROC_BITS, "{proc} out of packed range");
+            assert!(vpn.get() < 1 << 32, "{vpn} out of packed range");
+            STATE_ANON | u64::from(proc.get()) << STATE_SHIFT | vpn.get() << STATE_VPN_SHIFT
+        }
+    }
+}
+
+#[inline]
+fn unpack_state(bits: u64) -> GuestPageState {
+    match bits & STATE_KIND_BITS {
+        0 => GuestPageState::Free,
+        STATE_KERNEL => GuestPageState::Kernel,
+        STATE_BALLOON => GuestPageState::Balloon,
+        STATE_CACHE => GuestPageState::Cache { image_page: bits >> STATE_SHIFT },
+        STATE_ANON => GuestPageState::Anon {
+            proc: ProcId::new(((bits >> STATE_SHIFT) & STATE_PROC_BITS) as u32),
+            vpn: Vpn::new(bits >> STATE_VPN_SHIFT),
+        },
+        kind => unreachable!("corrupt guest page state kind {kind}"),
+    }
+}
+
+/// Guest page state per gfn, packed (see the encoding above).
+#[derive(Debug)]
+struct PageStates {
+    words: Vec<u64>,
+}
+
+impl PageStates {
+    /// `gfn_count` pages, the first `kernel_pages` of them kernel pages
+    /// and the rest free.
+    fn new(gfn_count: u64, kernel_pages: u64) -> Self {
+        let mut words = vec![0; gfn_count as usize];
+        words[..kernel_pages as usize].fill(STATE_KERNEL);
+        PageStates { words }
+    }
+
+    #[inline]
+    fn get(&self, idx: usize) -> GuestPageState {
+        unpack_state(self.words[idx])
+    }
+
+    #[inline]
+    fn set(&mut self, gfn: Gfn, state: GuestPageState) {
+        self.words[gfn.index()] = pack_state(state);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (Gfn, GuestPageState)> + '_ {
+        self.words.iter().enumerate().map(|(i, &w)| (Gfn::new(i as u64), unpack_state(w)))
+    }
+}
+
+/// The guest free-page list. Never-used gfns are handed out lowest
+/// first; freed pages are reused FIFO (coldest first): at the scale of a
+/// busy kernel, a freed frame sits in the allocator long enough for
+/// plenty to happen to its host-side state — the precondition for stale
+/// and false swap reads. The never-used run is a watermark rather than
+/// queue entries, so construction writes nothing per page.
+#[derive(Debug)]
+struct FreeGfns {
+    /// `fresh..end` have never been handed out.
+    fresh: u64,
+    end: u64,
+    /// Freed gfns, oldest first.
+    recycled: VecDeque<Gfn>,
+}
+
+impl FreeGfns {
+    /// A list holding `start..end`, lowest first.
+    fn new(start: u64, end: u64) -> Self {
+        FreeGfns { fresh: start, end, recycled: VecDeque::new() }
+    }
+
+    fn len(&self) -> u64 {
+        self.end - self.fresh + self.recycled.len() as u64
+    }
+
+    fn pop_front(&mut self) -> Option<Gfn> {
+        if self.fresh < self.end {
+            self.fresh += 1;
+            return Some(Gfn::new(self.fresh - 1));
+        }
+        self.recycled.pop_front()
+    }
+
+    fn push_back(&mut self, gfn: Gfn) {
+        self.recycled.push_back(gfn);
+    }
+}
+
 /// Errors surfaced by guest kernel operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GuestError {
@@ -154,8 +269,8 @@ const MIN_CACHE_PAGES: usize = 64;
 #[derive(Debug)]
 pub struct GuestKernel {
     spec: GuestSpec,
-    page_state: Vec<GuestPageState>,
-    free_gfns: VecDeque<Gfn>,
+    page_state: PageStates,
+    free_gfns: FreeGfns,
     /// Page-cache index, dense over image pages (`spec.disk.pages()`
     /// entries). The reverse gfn → image-page direction lives in
     /// `page_state` as [`GuestPageState::Cache`], so cache lookups in
@@ -198,19 +313,9 @@ impl GuestKernel {
         let swap_pages = spec.swap.pages();
         let disk_pages = spec.disk.pages();
         assert!(swap_pages < disk_pages, "swap larger than guest disk");
-        let mut page_state = vec![GuestPageState::Free; gfn_count as usize];
-        for s in page_state.iter_mut().take(spec.kernel_pages as usize) {
-            *s = GuestPageState::Kernel;
-        }
-        // Lowest free gfn is handed out first. Freed pages are reused
-        // FIFO (coldest first): at the scale of a busy kernel, a freed
-        // frame sits in the allocator long enough for plenty to happen to
-        // its host-side state — the precondition for stale and false swap
-        // reads.
-        let free_gfns = (spec.kernel_pages..gfn_count).map(Gfn::new).collect();
         GuestKernel {
-            page_state,
-            free_gfns,
+            page_state: PageStates::new(gfn_count, spec.kernel_pages),
+            free_gfns: FreeGfns::new(spec.kernel_pages, gfn_count),
             cache: CacheIndex::new(disk_pages),
             cache_len: 0,
             cache_lru: IndexList::with_capacity(gfn_count as usize),
@@ -258,7 +363,7 @@ impl GuestKernel {
 
     /// Pages on the guest free list.
     pub fn free_pages(&self) -> u64 {
-        self.free_gfns.len() as u64
+        self.free_gfns.len()
     }
 
     /// Pages currently pinned by the balloon.
@@ -281,24 +386,20 @@ impl GuestKernel {
     pub fn expected_resident_content(&self) -> Vec<(Gfn, ContentLabel)> {
         self.page_state
             .iter()
-            .enumerate()
-            .filter_map(|(idx, state)| {
-                let gfn = Gfn::new(idx as u64);
-                match *state {
-                    GuestPageState::Cache { image_page } => {
-                        Some((gfn, self.cache.get(image_page).expect("cached").label))
-                    }
-                    GuestPageState::Anon { proc, vpn } => {
-                        match self.processes[proc.index()].pages[vpn.index()] {
-                            AnonPage::Resident { gfn: g, label } => {
-                                debug_assert_eq!(g, gfn);
-                                Some((gfn, label))
-                            }
-                            _ => None,
-                        }
-                    }
-                    _ => None,
+            .filter_map(|(gfn, state)| match state {
+                GuestPageState::Cache { image_page } => {
+                    Some((gfn, self.cache.get(image_page).expect("cached").label))
                 }
+                GuestPageState::Anon { proc, vpn } => {
+                    match self.processes[proc.index()].pages[vpn.index()] {
+                        AnonPage::Resident { gfn: g, label } => {
+                            debug_assert_eq!(g, gfn);
+                            Some((gfn, label))
+                        }
+                        _ => None,
+                    }
+                }
+                _ => None,
             })
             .collect()
     }
@@ -494,7 +595,7 @@ impl GuestKernel {
         let mut elapsed = self.sync(hw);
         while let Some(idx) = self.cache_lru.pop_front() {
             let gfn = Gfn::new(idx as u64);
-            let GuestPageState::Cache { image_page } = self.page_state[idx] else {
+            let GuestPageState::Cache { image_page } = self.page_state.get(idx) else {
                 unreachable!("cache LRU holds only cache pages");
             };
             self.cache.remove(image_page);
@@ -516,7 +617,7 @@ impl GuestKernel {
     /// and free pages need no invalidation. Returns `true` if guest
     /// state changed.
     pub fn crash_drop_page(&mut self, gfn: Gfn) -> bool {
-        match self.page_state[gfn.index()] {
+        match self.page_state.get(gfn.index()) {
             GuestPageState::Cache { image_page } => {
                 self.clear_dirty(image_page);
                 self.cache_lru.remove(gfn.index());
@@ -698,7 +799,7 @@ impl GuestKernel {
                     return Err(e);
                 }
             };
-            self.page_state[gfn.index()] = GuestPageState::Balloon;
+            self.page_state.set(gfn, GuestPageState::Balloon);
             hw.balloon_release(gfn);
             self.balloon.push(gfn);
             // Guest reclaim I/O time is charged through alloc_gfn's
@@ -707,8 +808,7 @@ impl GuestKernel {
         }
         while (self.balloon.len() as u64) > target {
             let gfn = self.balloon.pop().expect("balloon non-empty");
-            self.page_state[gfn.index()] = GuestPageState::Free;
-            self.free_gfns.push_back(gfn);
+            self.release_gfn(gfn);
         }
         self.stats.balloon_pages = self.balloon.len() as u64;
         Ok(elapsed)
@@ -725,7 +825,7 @@ impl GuestKernel {
             // Real slack (more than one reclaim batch free) means pressure
             // is easing; pages just freed by our own direct reclaim do not
             // count.
-            if self.free_gfns.len() as u64 > self.spec.reclaim_batch {
+            if self.free_gfns.len() > self.spec.reclaim_batch {
                 self.balloon_swap_score = self.balloon_swap_score.saturating_sub(1);
             }
             return Ok(gfn);
@@ -784,7 +884,7 @@ impl GuestKernel {
     fn drop_cache_victim(&mut self, hw: &mut dyn VirtualHardware) -> bool {
         let Some(idx) = self.cache_lru.front() else { return false };
         let gfn = Gfn::new(idx as u64);
-        let GuestPageState::Cache { image_page } = self.page_state[idx] else {
+        let GuestPageState::Cache { image_page } = self.page_state.get(idx) else {
             unreachable!("cache LRU holds only cache pages");
         };
         let entry = self.cache.get(image_page).expect("cached");
@@ -808,7 +908,7 @@ impl GuestKernel {
     fn swap_out_anon_victim(&mut self, hw: &mut dyn VirtualHardware) -> bool {
         let Some(idx) = self.anon_lru.front() else { return false };
         let gfn = Gfn::new(idx as u64);
-        let GuestPageState::Anon { proc, vpn } = self.page_state[idx] else {
+        let GuestPageState::Anon { proc, vpn } = self.page_state.get(idx) else {
             unreachable!("anon LRU holds only anon pages");
         };
         let AnonPage::Resident { label, .. } = self.processes[proc.index()].pages[vpn.index()]
@@ -946,7 +1046,7 @@ impl GuestKernel {
     }
 
     fn install_cache_page(&mut self, gfn: Gfn, image_page: u64, label: ContentLabel, dirty: bool) {
-        self.page_state[gfn.index()] = GuestPageState::Cache { image_page };
+        self.page_state.set(gfn, GuestPageState::Cache { image_page });
         debug_assert!(!self.cache.is_cached(image_page), "double-caching {image_page}");
         self.cache.insert(image_page, CacheEntry { gfn, dirty, label });
         self.cache_len += 1;
@@ -958,7 +1058,7 @@ impl GuestKernel {
     }
 
     fn install_anon_page(&mut self, gfn: Gfn, proc: ProcId, vpn: Vpn, label: ContentLabel) {
-        self.page_state[gfn.index()] = GuestPageState::Anon { proc, vpn };
+        self.page_state.set(gfn, GuestPageState::Anon { proc, vpn });
         self.processes[proc.index()].pages[vpn.index()] = AnonPage::Resident { gfn, label };
         self.anon_lru.push_back(gfn.index());
     }
@@ -970,7 +1070,7 @@ impl GuestKernel {
     }
 
     fn release_gfn(&mut self, gfn: Gfn) {
-        self.page_state[gfn.index()] = GuestPageState::Free;
+        self.page_state.set(gfn, GuestPageState::Free);
         self.free_gfns.push_back(gfn);
     }
 
@@ -1036,9 +1136,9 @@ impl GuestKernel {
     /// Returns a description of the first violated invariant.
     pub fn audit(&self) -> Result<(), String> {
         let mut counted_free = 0u64;
-        for (i, state) in self.page_state.iter().enumerate() {
-            let gfn = Gfn::new(i as u64);
-            match *state {
+        for (gfn, state) in self.page_state.iter() {
+            let i = gfn.index();
+            match state {
                 GuestPageState::Free => counted_free += 1,
                 GuestPageState::Kernel | GuestPageState::Balloon => {}
                 GuestPageState::Cache { image_page } => {
@@ -1303,6 +1403,57 @@ mod tests {
         g.touch_anon(&mut hw, p, base, true).unwrap();
         assert!(g.stats().pages_zeroed > 0);
         g.audit().unwrap();
+    }
+
+    #[test]
+    fn free_list_matches_a_prefilled_deque() {
+        // The watermark list must hand out exactly what an eagerly
+        // filled queue would: never-used gfns lowest first, then freed
+        // gfns oldest first — also when frees interleave with the
+        // never-used run.
+        let (start, end) = (16, 300);
+        let mut list = FreeGfns::new(start, end);
+        let mut model: VecDeque<Gfn> = (start..end).map(Gfn::new).collect();
+        let mut held = Vec::new();
+        let mut rng = DeterministicRng::seed_from(11);
+        for _ in 0..5_000 {
+            if rng.below(3) < 2 {
+                let got = list.pop_front();
+                assert_eq!(got, model.pop_front());
+                held.extend(got);
+            } else if !held.is_empty() {
+                let gfn = held.swap_remove(rng.index(held.len()));
+                list.push_back(gfn);
+                model.push_back(gfn);
+            }
+            assert_eq!(list.len(), model.len() as u64);
+        }
+    }
+
+    #[test]
+    fn page_states_round_trip_at_the_packed_limits() {
+        let states = [
+            GuestPageState::Free,
+            GuestPageState::Kernel,
+            GuestPageState::Balloon,
+            GuestPageState::Cache { image_page: 0 },
+            GuestPageState::Cache { image_page: (1 << 61) - 1 },
+            GuestPageState::Anon { proc: ProcId::new(0), vpn: Vpn::new(0) },
+            GuestPageState::Anon {
+                proc: ProcId::new((1 << 29) - 1),
+                vpn: Vpn::new(u64::from(u32::MAX)),
+            },
+        ];
+        for state in states {
+            assert_eq!(unpack_state(pack_state(state)), state);
+        }
+        assert_eq!(pack_state(GuestPageState::Free), 0, "free is the zero word");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of packed range")]
+    fn unencodable_page_state_panics() {
+        pack_state(GuestPageState::Anon { proc: ProcId::new(0), vpn: Vpn::new(1 << 32) });
     }
 
     #[test]

@@ -36,7 +36,14 @@ pub struct GuestSlotInfo {
 #[derive(Debug, Clone)]
 pub struct GuestSwap {
     base_page: u64,
-    slots: Vec<Option<GuestSlotInfo>>,
+    /// `proc + 1` per occupied slot; `0` = free. Structure-of-arrays with
+    /// the zero word meaning "empty", like the host `SwapArea`, so a fresh
+    /// gigabyte-sized partition is `alloc_zeroed`, not an eager fill.
+    slot_proc: Vec<u32>,
+    /// Virtual page per occupied slot (valid only when occupied).
+    slot_vpn: Vec<u64>,
+    /// Raw content label per occupied slot (valid only when occupied).
+    slot_label: Vec<u64>,
     /// Free bitmap, one bit per slot; mirrors the host `SwapArea` shape
     /// so slot allocation is a word scan, not a tree walk per swap-out.
     free_bits: Vec<u64>,
@@ -59,7 +66,9 @@ impl GuestSwap {
         }
         GuestSwap {
             base_page,
-            slots: vec![None; pages as usize],
+            slot_proc: vec![0; pages as usize],
+            slot_vpn: vec![0; pages as usize],
+            slot_label: vec![0; pages as usize],
             free_bits,
             free_count: pages,
             cursor: 0,
@@ -69,7 +78,7 @@ impl GuestSwap {
 
     /// Total slots.
     pub fn capacity(&self) -> u64 {
-        self.slots.len() as u64
+        self.slot_proc.len() as u64
     }
 
     /// Occupied slots.
@@ -97,7 +106,13 @@ impl GuestSwap {
     }
 
     /// Allocates a slot (cursor scan with wrap, like the host allocator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `info.proc` is `u32::MAX`, which the packed slot record
+    /// cannot hold.
     pub fn alloc(&mut self, info: GuestSlotInfo) -> Option<u64> {
+        assert!(info.proc.get() < u32::MAX, "{} out of packed range", info.proc);
         if self.free_count == 0 {
             return None;
         }
@@ -108,7 +123,10 @@ impl GuestSwap {
         self.free_bits[slot as usize / 64] &= !(1u64 << (slot % 64));
         self.free_count -= 1;
         self.cursor = slot + 1;
-        self.slots[slot as usize] = Some(info);
+        let i = slot as usize;
+        self.slot_proc[i] = info.proc.get() + 1;
+        self.slot_vpn[i] = info.vpn.get();
+        self.slot_label[i] = info.label.get();
         Some(slot)
     }
 
@@ -118,9 +136,9 @@ impl GuestSwap {
     ///
     /// Panics if the slot is already free.
     pub fn free(&mut self, slot: u64) {
-        let entry = &mut self.slots[slot as usize];
-        assert!(entry.is_some(), "freeing free guest swap slot {slot}");
-        *entry = None;
+        let proc = &mut self.slot_proc[slot as usize];
+        assert!(*proc != 0, "freeing free guest swap slot {slot}");
+        *proc = 0;
         debug_assert_eq!(self.free_bits[slot as usize / 64] & (1u64 << (slot % 64)), 0);
         self.free_bits[slot as usize / 64] |= 1u64 << (slot % 64);
         self.free_count += 1;
@@ -129,7 +147,13 @@ impl GuestSwap {
 
     /// Contents of a slot, or `None` if free.
     pub fn get(&self, slot: u64) -> Option<GuestSlotInfo> {
-        self.slots[slot as usize]
+        let i = slot as usize;
+        let proc = self.slot_proc[i].checked_sub(1)?;
+        Some(GuestSlotInfo {
+            proc: ProcId::new(proc),
+            vpn: Vpn::new(self.slot_vpn[i]),
+            label: ContentLabel::from_raw(self.slot_label[i]),
+        })
     }
 
     /// The virtual-disk image page a slot occupies.
@@ -141,7 +165,7 @@ impl GuestSwap {
     /// readahead.
     pub fn window(&self, start: u64, window: u64) -> Vec<(u64, GuestSlotInfo)> {
         let end = (start + window).min(self.capacity());
-        (start..end).filter_map(|s| self.slots[s as usize].map(|i| (s, i))).collect()
+        (start..end).filter_map(|s| self.get(s).map(|i| (s, i))).collect()
     }
 
     /// Snapshots the occupied slots of `[start, start + window)` into
@@ -150,7 +174,7 @@ impl GuestSwap {
     pub fn window_into(&self, start: u64, window: u64, out: &mut Vec<(u64, GuestSlotInfo)>) {
         out.clear();
         let end = (start + window).min(self.capacity());
-        out.extend((start..end).filter_map(|s| self.slots[s as usize].map(|i| (s, i))));
+        out.extend((start..end).filter_map(|s| self.get(s).map(|i| (s, i))));
     }
 }
 

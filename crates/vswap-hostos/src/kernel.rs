@@ -4,11 +4,12 @@
 //! See the crate-level documentation for how each pathology of the paper
 //! maps onto the paths in this module.
 
+use crate::frameflags::{FrameFlags, ListClass};
 use crate::image::ImageStore;
 use crate::origin::OriginMap;
 use crate::spec::HostSpec;
 use crate::stats::HostStats;
-use crate::swaparea::{SlotInfo, SwapArea};
+use crate::swaparea::{set_bits, SlotInfo, SwapArea};
 use sim_core::{DeterministicRng, SimDuration, SimTime};
 use sim_obs::{Event, EventLog, LatencyClass, LatencyHub};
 use std::error::Error;
@@ -174,14 +175,6 @@ pub enum PageResidency {
     Untouched,
 }
 
-/// Which LRU list a frame is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ListClass {
-    None,
-    Anon,
-    Named,
-}
-
 /// Per-VM host-side memory-management state.
 #[derive(Debug)]
 struct VmMm {
@@ -210,8 +203,53 @@ struct VmMm {
     /// Of those, pages evicted untouched (wasted).
     ra_wasted: u64,
     /// Image blocks whose physical sectors failed permanently: the Mapper
-    /// must never (re)associate a guest page with them.
-    suspect: Vec<bool>,
+    /// must never (re)associate a guest page with them. One bit per image
+    /// page, bit set = quarantined.
+    suspect: Vec<u64>,
+}
+
+impl VmMm {
+    /// A VM with nothing resident, swapped, associated or quarantined.
+    fn new(
+        cfg: &VmMmConfig,
+        image: ImageStore,
+        image_region: DiskRegion,
+        hv_binary_region: DiskRegion,
+        spec: &HostSpec,
+    ) -> Self {
+        VmMm {
+            ept: Ept::new(cfg.gfn_count),
+            image,
+            image_region,
+            hv_binary_region,
+            origin: OriginMap::new(cfg.gfn_count, cfg.image_pages),
+            anon_lru: ListHead::new(),
+            named_lru: ListHead::new(),
+            mem_limit: cfg.mem_limit_pages,
+            charged: 0,
+            hv_code_frames: vec![None; spec.hypervisor_code_pages as usize],
+            hv_code_cursor: 0,
+            mapper_enabled: cfg.mapper_enabled,
+            protected_below: 0,
+            ra_window: spec.swap_readahead_pages,
+            ra_loaded: 0,
+            ra_wasted: 0,
+            suspect: vec![0; (cfg.image_pages as usize).div_ceil(64)],
+        }
+    }
+
+    fn is_suspect(&self, page: u64) -> bool {
+        self.suspect[(page / 64) as usize] >> (page % 64) & 1 == 1
+    }
+
+    fn set_suspect(&mut self, page: u64) {
+        self.suspect[(page / 64) as usize] |= 1 << (page % 64);
+    }
+
+    /// Quarantined image pages, ascending, walked a bitmap word at a time.
+    fn suspect_pages(&self) -> impl Iterator<Item = u64> + '_ {
+        set_bits(self.suspect.iter().copied())
+    }
 }
 
 /// The host kernel model. See the crate docs for an overview and an
@@ -225,15 +263,8 @@ pub struct HostKernel {
     swap_region: DiskRegion,
     swap: SwapArea,
     arena: ListArena,
-    list_class: Vec<ListClass>,
-    /// Second-chance depth per frame: a touched frame survives this many
-    /// reclaim encounters after its accessed bit is cleared, modelling
-    /// Linux's active/inactive list promotion (a referenced page must be
-    /// demoted before it can be evicted).
-    scan_chances: Vec<u8>,
-    /// Frames loaded by swap readahead that no one has touched yet; an
-    /// eviction while this is still set counts as readahead waste.
-    prefetched: Vec<bool>,
+    /// List class, second chance and readahead mark per frame.
+    flags: FrameFlags,
     vms: Vec<VmMm>,
     labels: LabelGen,
     stats: HostStats,
@@ -276,9 +307,7 @@ impl HostKernel {
             swap_region,
             swap: SwapArea::new(spec.swap_pages),
             arena: ListArena::with_capacity(dram_pages as usize),
-            list_class: vec![ListClass::None; dram_pages as usize],
-            scan_chances: vec![0; dram_pages as usize],
-            prefetched: vec![false; dram_pages as usize],
+            flags: FrameFlags::new(dram_pages),
             vms: Vec::new(),
             labels: LabelGen::new(),
             stats: HostStats::new(),
@@ -351,51 +380,49 @@ impl HostKernel {
     /// or [`HostError::InsufficientDram`] if DRAM cannot hold the
     /// hypervisor code pages.
     pub fn create_vm(&mut self, cfg: VmMmConfig) -> Result<VmId, HostError> {
-        let image_region =
-            self.layout.alloc_region("guest-image", cfg.image_pages).map_err(|_| {
-                HostError::DiskFull {
-                    requested: cfg.image_pages,
-                    available: self.layout.free_pages(),
-                }
-            })?;
-        let hv_binary_region = self
-            .layout
-            .alloc_region("hypervisor-binary", self.spec.hypervisor_code_pages)
-            .map_err(|_| HostError::DiskFull {
-                requested: self.spec.hypervisor_code_pages,
-                available: self.layout.free_pages(),
-            })?;
+        let (image_region, hv_binary_region) = self.alloc_vm_regions(cfg.image_pages)?;
         let vm = VmId::new(self.vms.len() as u32);
-        self.vms.push(VmMm {
-            ept: Ept::new(cfg.gfn_count),
-            image: ImageStore::new(cfg.image_pages, &mut self.labels),
-            image_region,
-            hv_binary_region,
-            origin: OriginMap::new(cfg.gfn_count, cfg.image_pages),
-            anon_lru: ListHead::new(),
-            named_lru: ListHead::new(),
-            mem_limit: cfg.mem_limit_pages,
-            charged: 0,
-            hv_code_frames: vec![None; self.spec.hypervisor_code_pages as usize],
-            hv_code_cursor: 0,
-            mapper_enabled: cfg.mapper_enabled,
-            protected_below: 0,
-            ra_window: self.spec.swap_readahead_pages,
-            ra_loaded: 0,
-            ra_wasted: 0,
-            suspect: vec![false; cfg.image_pages as usize],
-        });
+        let image = ImageStore::new(cfg.image_pages, &mut self.labels);
+        self.vms.push(VmMm::new(&cfg, image, image_region, hv_binary_region, &self.spec));
         // Pre-fault the hypervisor's hot code (the QEMU process is running).
         let mut t = SimTime::ZERO;
+        self.prefault_hv_code(&mut t, vm)?;
+        Ok(vm)
+    }
+
+    /// Carves a VM's disk-image and hypervisor-binary regions out of the
+    /// physical disk.
+    fn alloc_vm_regions(
+        &mut self,
+        image_pages: u64,
+    ) -> Result<(DiskRegion, DiskRegion), HostError> {
+        let full = |requested, layout: &DiskLayout| HostError::DiskFull {
+            requested,
+            available: layout.free_pages(),
+        };
+        let image_region = self
+            .layout
+            .alloc_region("guest-image", image_pages)
+            .map_err(|_| full(image_pages, &self.layout))?;
+        let hv_pages = self.spec.hypervisor_code_pages;
+        let hv_binary_region = self
+            .layout
+            .alloc_region("hypervisor-binary", hv_pages)
+            .map_err(|_| full(hv_pages, &self.layout))?;
+        Ok((image_region, hv_binary_region))
+    }
+
+    /// Faults in every hypervisor code page of a newly attached VM.
+    fn prefault_hv_code(&mut self, t: &mut SimTime, vm: VmId) -> Result<(), HostError> {
         for page in 0..self.spec.hypervisor_code_pages {
             let frame = self
-                .alloc_frame(&mut t, vm, FrameOwner::HypervisorCode { vm, page })
+                .alloc_frame(t, vm, FrameOwner::HypervisorCode { vm, page })
                 .ok_or(HostError::InsufficientDram)?;
             self.vms[vm.index()].hv_code_frames[page as usize] = Some(frame);
             self.list_push(vm, frame, true);
             self.frames.set_accessed(frame, true);
         }
-        Ok(vm)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -563,7 +590,7 @@ impl HostKernel {
 
     /// Image blocks of the VM currently quarantined from Mapper use.
     pub fn suspect_blocks(&self, vm: VmId) -> u64 {
-        self.vms[vm.index()].suspect.iter().filter(|&&s| s).count() as u64
+        self.vms[vm.index()].suspect_pages().count() as u64
     }
 
     /// Disk pages still unallocated in the layout — whether this host can
@@ -708,16 +735,15 @@ impl HostKernel {
                 "flush the Preventer before exporting a VM"
             );
             self.list_remove(vm, frame);
-            self.prefetched[frame.index()] = false;
-            self.scan_chances[frame.index()] = 0;
+            self.flags.clear(frame);
             self.frames.free(frame);
             self.vms[vm.index()].charged -= 1;
         }
         // Free the VM's swap slots.
-        for slot in 0..self.swap.capacity() {
-            if self.swap.get(slot).is_some_and(|info| info.vm == vm) {
-                self.swap.free(slot);
-            }
+        let slots: Vec<u64> =
+            self.swap.iter_occupied().filter(|(_, info)| info.vm == vm).map(|(s, _)| s).collect();
+        for slot in slots {
+            self.swap.free(slot);
         }
         // Vacate the per-VM state: an empty address space, an empty
         // image, no associations. The slot itself stays (IDs are stable).
@@ -759,50 +785,14 @@ impl HostKernel {
         let VmExport { cfg, image, pages, protected_below } = export;
         assert_eq!(image.pages(), cfg.image_pages, "image must match its geometry");
         assert_eq!(pages.len() as u64, cfg.gfn_count, "one wire state per gfn");
-        let image_region =
-            self.layout.alloc_region("guest-image", cfg.image_pages).map_err(|_| {
-                HostError::DiskFull {
-                    requested: cfg.image_pages,
-                    available: self.layout.free_pages(),
-                }
-            })?;
-        let hv_binary_region = self
-            .layout
-            .alloc_region("hypervisor-binary", self.spec.hypervisor_code_pages)
-            .map_err(|_| HostError::DiskFull {
-                requested: self.spec.hypervisor_code_pages,
-                available: self.layout.free_pages(),
-            })?;
+        let (image_region, hv_binary_region) = self.alloc_vm_regions(cfg.image_pages)?;
         let vm = VmId::new(self.vms.len() as u32);
-        self.vms.push(VmMm {
-            ept: Ept::new(cfg.gfn_count),
-            image,
-            image_region,
-            hv_binary_region,
-            origin: OriginMap::new(cfg.gfn_count, cfg.image_pages),
-            anon_lru: ListHead::new(),
-            named_lru: ListHead::new(),
-            mem_limit: cfg.mem_limit_pages,
-            charged: 0,
-            hv_code_frames: vec![None; self.spec.hypervisor_code_pages as usize],
-            hv_code_cursor: 0,
-            mapper_enabled: cfg.mapper_enabled,
-            protected_below,
-            ra_window: self.spec.swap_readahead_pages,
-            ra_loaded: 0,
-            ra_wasted: 0,
-            suspect: vec![false; cfg.image_pages as usize],
-        });
+        let mut mm = VmMm::new(&cfg, image, image_region, hv_binary_region, &self.spec);
+        mm.protected_below = protected_below;
+        self.vms.push(mm);
         let mut t = now;
         // The hypervisor process starts on the target first.
-        for page in 0..self.spec.hypervisor_code_pages {
-            let frame = self
-                .alloc_frame(&mut t, vm, FrameOwner::HypervisorCode { vm, page })
-                .ok_or(HostError::InsufficientDram)?;
-            self.vms[vm.index()].hv_code_frames[page as usize] = Some(frame);
-            self.list_push(vm, frame, true);
-            self.frames.set_accessed(frame, true);
-        }
+        self.prefault_hv_code(&mut t, vm)?;
         // Install the guest pages from their wire state.
         for (g, &state) in pages.iter().enumerate() {
             let gfn = Gfn::new(g as u64);
@@ -917,10 +907,10 @@ impl HostKernel {
     /// dissolved — the held page degrades to anonymous, its content
     /// recovered from the logical image where needed. Idempotent.
     fn mark_block_suspect(&mut self, t: &mut SimTime, vm: VmId, page: u64) {
-        if self.vms[vm.index()].suspect[page as usize] {
+        if self.vms[vm.index()].is_suspect(page) {
             return;
         }
-        self.vms[vm.index()].suspect[page as usize] = true;
+        self.vms[vm.index()].set_suspect(page);
         let Some(gfn) = self.vms[vm.index()].origin.gfn_for_page(page) else {
             return;
         };
@@ -987,7 +977,7 @@ impl HostKernel {
         };
         let frame = self.vms[vm.index()].ept.translate(gfn).expect("faulted in");
         self.frames.set_accessed(frame, true);
-        self.prefetched[frame.index()] = false;
+        self.flags.set_prefetched(frame, false);
         if write {
             self.guest_write_present(&mut t, vm, gfn, frame, None);
         }
@@ -1118,7 +1108,7 @@ impl HostKernel {
             self.frames.set_label(frame, label);
             self.frames.set_dirty(frame, false);
             self.frames.set_accessed(frame, true);
-            if self.vms[vm.index()].mapper_enabled || self.vms[vm.index()].suspect[page as usize] {
+            if self.vms[vm.index()].mapper_enabled || self.vms[vm.index()].is_suspect(page) {
                 // The Mapper's *unaligned fallback* path (the request
                 // cannot be tracked) — and quarantined blocks are never
                 // tracked either.
@@ -1190,7 +1180,7 @@ impl HostKernel {
             // Unhook only after the allocation above: its reclaim
             // pressure could have discarded the block's current holder.
             self.unhook_stale_block_association(vm, gfn, page);
-            if self.vms[vm.index()].suspect[page as usize] {
+            if self.vms[vm.index()].is_suspect(page) {
                 // The block cannot be trusted to serve a refault: keep
                 // the page anonymous (degraded) instead of naming it.
                 self.vms[vm.index()].origin.dissociate_gfn(gfn);
@@ -1274,7 +1264,7 @@ impl HostKernel {
             let label = self.frames.label(frame);
             self.vms[vm.index()].image.write(page, label);
             let mapper = self.vms[vm.index()].mapper_enabled;
-            let suspect = self.vms[vm.index()].suspect[page as usize];
+            let suspect = self.vms[vm.index()].is_suspect(page);
             if (mappable || !mapper) && !suspect {
                 // Write-then-map: the source page now matches the block.
                 self.unhook_stale_block_association(vm, gfn, page);
@@ -1551,7 +1541,7 @@ impl HostKernel {
             self.vms[vm.index()].ra_loaded += 1;
             if s != slot {
                 self.stats.swap_readahead_extra += 1;
-                self.prefetched[frame.index()] = true;
+                self.flags.set_prefetched(frame, true);
             } else {
                 self.frames.set_accessed(frame, true);
             }
@@ -1615,7 +1605,7 @@ impl HostKernel {
             if bad {
                 // The block cannot serve the next refault: break the
                 // association while the content is safely in memory.
-                self.vms[vm.index()].suspect[p as usize] = true;
+                self.vms[vm.index()].set_suspect(p);
                 self.vms[vm.index()].origin.dissociate_gfn(g);
                 self.list_push(vm, frame, false);
                 self.stats.degraded_pages += 1;
@@ -1807,10 +1797,9 @@ impl HostKernel {
                     // Referenced (or hinted vital): demote to "recently
                     // active" and requeue.
                     self.frames.set_accessed(frame, false);
-                    self.scan_chances[idx] = 1;
+                    self.flags.grant_second_chance(frame);
                     self.arena.move_to_back(head, idx);
-                } else if self.scan_chances[idx] > 0 {
-                    self.scan_chances[idx] -= 1;
+                } else if self.flags.take_second_chance(frame) {
                     self.arena.move_to_back(head, idx);
                 } else {
                     return Some(frame);
@@ -1825,8 +1814,7 @@ impl HostKernel {
     /// (always written — no dirty bit for guest pages); hypervisor code
     /// and page-cache frames are dropped.
     fn evict_frame(&mut self, t: &mut SimTime, vm: VmId, frame: FrameId) {
-        if self.prefetched[frame.index()] {
-            self.prefetched[frame.index()] = false;
+        if self.flags.take_prefetched(frame) {
             self.vms[vm.index()].ra_wasted += 1;
         }
         match self.frames.owner(frame) {
@@ -1836,8 +1824,7 @@ impl HostKernel {
                 let mapper = self.vms[vm.index()].mapper_enabled;
                 // A discard is only safe onto a block the disk can still
                 // serve: never discard onto a quarantined block.
-                let discardable =
-                    origin_page.is_some_and(|p| !self.vms[vm.index()].suspect[p as usize]);
+                let discardable = origin_page.is_some_and(|p| !self.vms[vm.index()].is_suspect(p));
                 if let (true, Some(page), false, true) =
                     (mapper, origin_page, self.frames.dirty(frame), discardable)
                 {
@@ -1948,15 +1935,15 @@ impl HostKernel {
     // ------------------------------------------------------------------
 
     fn list_push(&mut self, vm: VmId, frame: FrameId, named: bool) {
-        debug_assert_eq!(self.list_class[frame.index()], ListClass::None);
+        debug_assert_eq!(self.flags.list_class(frame), ListClass::None);
         let mm = &mut self.vms[vm.index()];
         let head = if named { &mut mm.named_lru } else { &mut mm.anon_lru };
         self.arena.push_back(head, frame.index());
-        self.list_class[frame.index()] = if named { ListClass::Named } else { ListClass::Anon };
+        self.flags.set_list_class(frame, if named { ListClass::Named } else { ListClass::Anon });
     }
 
     fn list_remove(&mut self, vm: VmId, frame: FrameId) {
-        match self.list_class[frame.index()] {
+        match self.flags.list_class(frame) {
             ListClass::None => {}
             ListClass::Anon => self.list_remove_class(vm, frame, false),
             ListClass::Named => self.list_remove_class(vm, frame, true),
@@ -1967,14 +1954,14 @@ impl HostKernel {
         let mm = &mut self.vms[vm.index()];
         let head = if named { &mut mm.named_lru } else { &mut mm.anon_lru };
         self.arena.remove(head, frame.index());
-        self.list_class[frame.index()] = ListClass::None;
+        self.flags.set_list_class(frame, ListClass::None);
     }
 
     /// Moves a frame to the (back of the) requested list if it is not
     /// already classified there.
     fn list_move(&mut self, vm: VmId, frame: FrameId, named: bool) {
         let want = if named { ListClass::Named } else { ListClass::Anon };
-        if self.list_class[frame.index()] == want {
+        if self.flags.list_class(frame) == want {
             return;
         }
         self.list_remove(vm, frame);
@@ -1993,6 +1980,7 @@ impl HostKernel {
     /// Returns a human-readable description of the violated invariant.
     pub fn audit(&self) -> Result<(), String> {
         let mut charged = vec![0u64; self.vms.len()];
+        let mut unlisted = vec![0u64; self.vms.len()];
         for (frame, owner) in self.frames.iter_allocated() {
             let (vm, expect_listed) = match owner {
                 FrameOwner::Guest { vm, gfn } => {
@@ -2013,7 +2001,8 @@ impl HostKernel {
                 FrameOwner::Free => unreachable!("iter_allocated skips free frames"),
             };
             charged[vm.index()] += 1;
-            let listed = self.list_class[frame.index()] != ListClass::None;
+            unlisted[vm.index()] += u64::from(!expect_listed);
+            let listed = self.flags.list_class(frame) != ListClass::None;
             if listed != expect_listed {
                 return Err(format!("{frame} listed={listed}, expected {expect_listed}"));
             }
@@ -2025,28 +2014,19 @@ impl HostKernel {
                     charged[i], mm.charged
                 ));
             }
-            let listed = mm.anon_lru.len() + mm.named_lru.len();
-            let expect = charged[i] as usize
-                - self
-                    .frames
-                    .iter_allocated()
-                    .filter(
-                        |(_, o)| matches!(o, FrameOwner::WriteBuffer { vm, .. } if vm.index() == i),
-                    )
-                    .count();
+            let listed = (mm.anon_lru.len() + mm.named_lru.len()) as u64;
+            let expect = charged[i] - unlisted[i];
             if listed != expect {
                 return Err(format!("vm{i} lru size {listed} != listed frames {expect}"));
             }
         }
-        for slot in 0..self.swap.capacity() {
-            if let Some(info) = self.swap.get(slot) {
-                let backing = self.vms[info.vm.index()].ept.backing(info.gfn);
-                if backing != Some(Backing::SwapSlot(slot)) {
-                    return Err(format!(
-                        "slot {slot} holds {}/{} but backing is {backing:?}",
-                        info.vm, info.gfn
-                    ));
-                }
+        for (slot, info) in self.swap.iter_occupied() {
+            let backing = self.vms[info.vm.index()].ept.backing(info.gfn);
+            if backing != Some(Backing::SwapSlot(slot)) {
+                return Err(format!(
+                    "slot {slot} holds {}/{} but backing is {backing:?}",
+                    info.vm, info.gfn
+                ));
             }
         }
         // Discarded named pages must still own their block association.
@@ -2067,13 +2047,9 @@ impl HostKernel {
         // association — that would be a stale mapping onto storage a
         // refault cannot read.
         for (vmi, mm) in self.vms.iter().enumerate() {
-            for (p, &bad) in mm.suspect.iter().enumerate() {
-                if bad {
-                    if let Some(gfn) = mm.origin.gfn_for_page(p as u64) {
-                        return Err(format!(
-                            "vm{vmi} suspect block {p} still associated with {gfn}"
-                        ));
-                    }
+            for p in mm.suspect_pages() {
+                if let Some(gfn) = mm.origin.gfn_for_page(p) {
+                    return Err(format!("vm{vmi} suspect block {p} still associated with {gfn}"));
                 }
             }
         }
@@ -2435,6 +2411,56 @@ mod tests {
         assert_eq!(host.backing(vm, Gfn::new(3)), Some(Backing::None));
         assert_eq!(host.resident_label(vm, Gfn::new(5)), Some(host.image_label(vm, 7)));
         host.audit().unwrap();
+    }
+
+    /// Loads a tight host into a clean state, applies `corrupt`, and
+    /// returns what the audit reports.
+    fn audit_error(mapper: bool, corrupt: impl FnOnce(&mut HostKernel, VmId)) -> String {
+        let (mut host, vm) = tight_host(mapper);
+        for i in 0..128u64 {
+            if mapper {
+                host.virt_disk_read_mapped(t0(), vm, i, &[Gfn::new(i)]);
+            } else {
+                host.guest_access(t0(), vm, Gfn::new(i), true);
+            }
+        }
+        host.audit().unwrap();
+        corrupt(&mut host, vm);
+        host.audit().expect_err("the audit must catch the corruption")
+    }
+
+    #[test]
+    fn audit_catches_a_charge_miscount() {
+        let err = audit_error(false, |host, vm| host.vms[vm.index()].charged += 1);
+        assert!(err.contains("charge mismatch"), "{err}");
+    }
+
+    #[test]
+    fn audit_catches_a_swap_slot_record_the_ept_does_not_point_at() {
+        let err = audit_error(false, |host, vm| {
+            let untouched = Gfn::new(150);
+            host.swap.alloc(SlotInfo { vm, gfn: untouched, label: ContentLabel::ZERO }).unwrap();
+        });
+        assert!(err.contains("but backing is Some(None)"), "{err}");
+    }
+
+    #[test]
+    fn audit_catches_a_frame_the_ept_does_not_map() {
+        let err = audit_error(false, |host, vm| {
+            let gfn = (0..128).map(Gfn::new).find(|&g| host.is_present(vm, g)).unwrap();
+            host.vms[vm.index()].ept.unmap(gfn, Backing::None);
+        });
+        assert!(err.contains("but EPT says None"), "{err}");
+    }
+
+    #[test]
+    fn audit_catches_a_suspect_block_still_associated() {
+        let err = audit_error(true, |host, vm| {
+            let mm = &mut host.vms[vm.index()];
+            let page = (0..128).find(|&p| mm.origin.gfn_for_page(p).is_some()).unwrap();
+            mm.set_suspect(page);
+        });
+        assert!(err.contains("suspect block"), "{err}");
     }
 }
 

@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+mod frameflags;
 pub mod image;
 pub mod kernel;
 pub mod origin;

@@ -27,6 +27,20 @@ pub struct SlotInfo {
     pub label: ContentLabel,
 }
 
+/// The indices of the set bits of a bitmap given word by word (word `w`
+/// covers bits `64*w .. 64*w+64`), ascending, via `trailing_zeros`.
+pub(crate) fn set_bits(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u64> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = w as u64 * 64 + u64::from(word.trailing_zeros());
+                word &= word - 1;
+                bit
+            })
+        })
+    })
+}
+
 /// Iterates the free slots of `[..end)` in ascending order starting from a
 /// pre-masked word, word-accelerated via `trailing_zeros`.
 struct FreeRange<'a> {
@@ -276,6 +290,15 @@ impl SwapArea {
         })
     }
 
+    /// Iterates every occupied slot in ascending order, skipping a whole
+    /// bitmap word of free slots at a time.
+    pub fn iter_occupied(&self) -> impl Iterator<Item = (u64, SlotInfo)> + '_ {
+        // Retired slots are taken but empty; `get` skips them.
+        set_bits(self.free_bits.iter().map(|&free| !free))
+            .take_while(|&slot| slot < self.capacity)
+            .filter_map(|slot| self.get(slot).map(|info| (slot, info)))
+    }
+
     /// Iterates the occupied slots in the readahead window
     /// `[start, start + window)`, clamped to capacity, in slot order —
     /// the cluster a fault-time swap readahead would read. Borrows the
@@ -365,6 +388,21 @@ mod tests {
         let got = swap.alloc_scattered(info(300), &mut rng, 3).unwrap();
         assert!([3, 70, 200].contains(&got));
         assert_eq!(swap.used(), 254);
+    }
+
+    #[test]
+    fn iter_occupied_skips_free_and_retired_slots() {
+        let mut swap = SwapArea::new(150); // three words, the last partial
+        for g in 0..150 {
+            swap.alloc(info(g)).unwrap();
+        }
+        for s in (0..150).filter(|s| ![1, 64, 65, 149].contains(s)) {
+            swap.free(s);
+        }
+        swap.mark_bad(65);
+        let occupied: Vec<(u64, u64)> =
+            swap.iter_occupied().map(|(s, info)| (s, info.gfn.get())).collect();
+        assert_eq!(occupied, vec![(1, 1), (64, 64), (149, 149)]);
     }
 
     #[test]

@@ -37,6 +37,39 @@ pub enum EptEntry {
     },
 }
 
+// Packed entry encoding: one `u64` per gfn, `0` meaning
+// `NotPresent { backing: None }`, so a fresh table is all-zero bytes and
+// `Ept::new` is one `alloc_zeroed` (lazily mapped), not an eager fill.
+// Bits 0..2 hold the entry kind, bits 2..64 its payload: the frame of a
+// present page, or the slot or image page backing a non-present one.
+const KIND_PRESENT: u64 = 1;
+const KIND_SWAP_SLOT: u64 = 2;
+const KIND_IMAGE_PAGE: u64 = 3;
+const KIND_BITS: u64 = 0b11;
+const PAYLOAD_SHIFT: u32 = 2;
+
+#[inline]
+fn pack_backing(backing: Backing) -> u64 {
+    let (kind, index) = match backing {
+        Backing::None => return 0,
+        Backing::SwapSlot(slot) => (KIND_SWAP_SLOT, slot),
+        Backing::ImagePage(page) => (KIND_IMAGE_PAGE, page),
+    };
+    assert!(index <= Ept::MAX_BACKING_INDEX, "backing index {index} out of packed range");
+    kind | index << PAYLOAD_SHIFT
+}
+
+#[inline]
+fn unpack(word: u64) -> EptEntry {
+    let payload = word >> PAYLOAD_SHIFT;
+    match word & KIND_BITS {
+        KIND_PRESENT => EptEntry::Present { frame: FrameId::new(payload as u32) },
+        KIND_SWAP_SLOT => EptEntry::NotPresent { backing: Backing::SwapSlot(payload) },
+        KIND_IMAGE_PAGE => EptEntry::NotPresent { backing: Backing::ImagePage(payload) },
+        _ => EptEntry::NotPresent { backing: Backing::None },
+    }
+}
+
 /// A VM's guest-physical address space mapping.
 ///
 /// # Examples
@@ -55,23 +88,25 @@ pub enum EptEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ept {
-    entries: Vec<EptEntry>,
+    /// Packed entry per gfn (see the encoding above).
+    words: Vec<u64>,
     resident: u64,
 }
 
 impl Ept {
+    /// The largest swap slot or image page a non-present entry can
+    /// record; recording a larger one panics.
+    pub const MAX_BACKING_INDEX: u64 = u64::MAX >> PAYLOAD_SHIFT;
+
     /// Creates a table for a guest-physical space of `gfn_count` pages,
     /// all initially non-present with no backing.
     pub fn new(gfn_count: u64) -> Self {
-        Ept {
-            entries: vec![EptEntry::NotPresent { backing: Backing::None }; gfn_count as usize],
-            resident: 0,
-        }
+        Ept { words: vec![0; gfn_count as usize], resident: 0 }
     }
 
     /// Size of the guest-physical space in pages.
     pub fn gfn_count(&self) -> u64 {
-        self.entries.len() as u64
+        self.words.len() as u64
     }
 
     /// Number of currently resident (present) guest pages.
@@ -84,21 +119,24 @@ impl Ept {
     /// # Panics
     ///
     /// Panics if `gfn` is out of range.
+    #[inline]
     pub fn entry(&self, gfn: Gfn) -> EptEntry {
-        self.entries[gfn.index()]
+        unpack(self.words[gfn.index()])
     }
 
     /// Returns the backing frame if the page is present.
+    #[inline]
     pub fn translate(&self, gfn: Gfn) -> Option<FrameId> {
-        match self.entries[gfn.index()] {
+        match self.entry(gfn) {
             EptEntry::Present { frame } => Some(frame),
             EptEntry::NotPresent { .. } => None,
         }
     }
 
     /// Returns the backing location if the page is *not* present.
+    #[inline]
     pub fn backing(&self, gfn: Gfn) -> Option<Backing> {
-        match self.entries[gfn.index()] {
+        match self.entry(gfn) {
             EptEntry::Present { .. } => None,
             EptEntry::NotPresent { backing } => Some(backing),
         }
@@ -109,13 +147,10 @@ impl Ept {
     /// # Panics
     ///
     /// Panics if the page is already present (unmap first).
+    #[inline]
     pub fn map(&mut self, gfn: Gfn, frame: FrameId) {
-        let entry = &mut self.entries[gfn.index()];
-        assert!(
-            matches!(entry, EptEntry::NotPresent { .. }),
-            "mapping an already-present gfn {gfn}"
-        );
-        *entry = EptEntry::Present { frame };
+        assert!(self.translate(gfn).is_none(), "mapping an already-present gfn {gfn}");
+        self.words[gfn.index()] = KIND_PRESENT | u64::from(frame.get()) << PAYLOAD_SHIFT;
         self.resident += 1;
     }
 
@@ -124,17 +159,16 @@ impl Ept {
     ///
     /// # Panics
     ///
-    /// Panics if the page is not present.
+    /// Panics if the page is not present, or if `backing` is beyond
+    /// [`Ept::MAX_BACKING_INDEX`].
+    #[inline]
     pub fn unmap(&mut self, gfn: Gfn, backing: Backing) -> FrameId {
-        let entry = &mut self.entries[gfn.index()];
-        match *entry {
-            EptEntry::Present { frame } => {
-                *entry = EptEntry::NotPresent { backing };
-                self.resident -= 1;
-                frame
-            }
-            EptEntry::NotPresent { .. } => panic!("unmapping a non-present gfn {gfn}"),
-        }
+        let Some(frame) = self.translate(gfn) else {
+            panic!("unmapping a non-present gfn {gfn}");
+        };
+        self.words[gfn.index()] = pack_backing(backing);
+        self.resident -= 1;
+        frame
     }
 
     /// Rewrites the backing of a non-present page (e.g. the Mapper
@@ -143,20 +177,18 @@ impl Ept {
     ///
     /// # Panics
     ///
-    /// Panics if the page is present.
+    /// Panics if the page is present, or if `backing` is beyond
+    /// [`Ept::MAX_BACKING_INDEX`].
+    #[inline]
     pub fn set_backing(&mut self, gfn: Gfn, backing: Backing) {
-        let entry = &mut self.entries[gfn.index()];
-        assert!(
-            matches!(entry, EptEntry::NotPresent { .. }),
-            "cannot set backing of present gfn {gfn}"
-        );
-        *entry = EptEntry::NotPresent { backing };
+        assert!(self.translate(gfn).is_none(), "cannot set backing of present gfn {gfn}");
+        self.words[gfn.index()] = pack_backing(backing);
     }
 
     /// Iterates over present pages as `(gfn, frame)`.
     pub fn iter_present(&self) -> impl Iterator<Item = (Gfn, FrameId)> + '_ {
-        self.entries.iter().enumerate().filter_map(|(i, e)| match e {
-            EptEntry::Present { frame } => Some((Gfn::new(i as u64), *frame)),
+        self.words.iter().enumerate().filter_map(|(i, &word)| match unpack(word) {
+            EptEntry::Present { frame } => Some((Gfn::new(i as u64), frame)),
             EptEntry::NotPresent { .. } => None,
         })
     }
@@ -241,6 +273,27 @@ mod backing_tests {
             assert_eq!(ept.backing(gfn), Some(backing));
             assert_eq!(ept.entry(gfn), EptEntry::NotPresent { backing });
         }
+    }
+
+    #[test]
+    fn extreme_payloads_round_trip() {
+        let mut ept = Ept::new(3);
+        let max = Ept::MAX_BACKING_INDEX;
+        ept.map(Gfn::new(0), FrameId::new(u32::MAX));
+        assert_eq!(ept.translate(Gfn::new(0)), Some(FrameId::new(u32::MAX)));
+        ept.set_backing(Gfn::new(1), Backing::SwapSlot(max));
+        ept.set_backing(Gfn::new(2), Backing::ImagePage(max));
+        assert_eq!(ept.backing(Gfn::new(1)), Some(Backing::SwapSlot(max)));
+        assert_eq!(ept.backing(Gfn::new(2)), Some(Backing::ImagePage(max)));
+        assert_eq!(ept.unmap(Gfn::new(0), Backing::ImagePage(0)), FrameId::new(u32::MAX));
+        assert_eq!(ept.backing(Gfn::new(0)), Some(Backing::ImagePage(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of packed range")]
+    fn unencodable_backing_panics() {
+        let mut ept = Ept::new(1);
+        ept.set_backing(Gfn::new(0), Backing::SwapSlot(Ept::MAX_BACKING_INDEX + 1));
     }
 
     #[test]

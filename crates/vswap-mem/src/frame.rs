@@ -113,8 +113,8 @@ fn pack_owner(owner: FrameOwner) -> u64 {
         FrameOwner::HypervisorCode { vm, page } => (KIND_HYPERVISOR_CODE, vm, page),
         FrameOwner::WriteBuffer { vm, gfn } => (KIND_WRITE_BUFFER, vm, gfn.get()),
     };
-    debug_assert!(u64::from(vm.get()) <= VM_BITS, "vm id out of packed range");
-    debug_assert!(page < 1 << 32, "owner page out of packed range");
+    assert!(u64::from(vm.get()) <= VM_BITS, "vm id out of packed range");
+    assert!(page < 1 << 32, "owner page out of packed range");
     kind | (u64::from(vm.get()) << VM_SHIFT) | (page << PAGE_SHIFT)
 }
 

@@ -5,9 +5,12 @@
 use proptest::prelude::*;
 use sim_core::{DeterministicRng, SimTime};
 use std::collections::VecDeque;
-use vswap_guestos::{GuestKernel, GuestSpec, MockHardware};
+use vswap_guestos::swap::GuestSlotInfo;
+use vswap_guestos::{GuestKernel, GuestSpec, GuestSwap, MockHardware, ProcId};
 use vswap_hostos::{HostKernel, HostSpec, SlotInfo, SwapArea, VmMmConfig};
-use vswap_mem::{ContentLabel, Gfn, IndexList, MemBytes, VmId};
+use vswap_mem::{
+    Backing, ContentLabel, Ept, EptEntry, FrameId, Gfn, IndexList, MemBytes, VmId, Vpn,
+};
 
 // ----------------------------------------------------------------------
 // IndexList vs a reference deque
@@ -261,6 +264,174 @@ proptest! {
                 }
             }
             prop_assert_eq!(swap.used(), held.len() as u64);
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Packed Ept vs a plain table of entries
+// ----------------------------------------------------------------------
+
+const EPT_GFNS: u64 = 40;
+
+#[derive(Debug, Clone)]
+enum EptOp {
+    Map(u64, u32),
+    Unmap(u64, Backing),
+    SetBacking(u64, Backing),
+}
+
+/// Slot and image-page numbers, biased to both ends of the packed range.
+fn backing_index() -> impl Strategy<Value = u64> {
+    let max = Ept::MAX_BACKING_INDEX;
+    prop_oneof![0..1000u64, (max - 1000)..max, Just(max)]
+}
+
+fn backing() -> impl Strategy<Value = Backing> {
+    prop_oneof![
+        Just(Backing::None),
+        backing_index().prop_map(Backing::SwapSlot),
+        backing_index().prop_map(Backing::ImagePage),
+    ]
+}
+
+fn ept_op() -> impl Strategy<Value = EptOp> {
+    let frame = prop_oneof![0..1000u32, Just(u32::MAX)];
+    prop_oneof![
+        ((0..EPT_GFNS), frame).prop_map(|(g, f)| EptOp::Map(g, f)),
+        ((0..EPT_GFNS), backing()).prop_map(|(g, b)| EptOp::Unmap(g, b)),
+        ((0..EPT_GFNS), backing()).prop_map(|(g, b)| EptOp::SetBacking(g, b)),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn ept_matches_reference_entries(ops in prop::collection::vec(ept_op(), 1..300)) {
+        let mut ept = Ept::new(EPT_GFNS);
+        let mut model = vec![EptEntry::NotPresent { backing: Backing::None }; EPT_GFNS as usize];
+        for op in ops {
+            let g = match op {
+                EptOp::Map(g, f) => {
+                    if matches!(model[g as usize], EptEntry::NotPresent { .. }) {
+                        ept.map(Gfn::new(g), FrameId::new(f));
+                        model[g as usize] = EptEntry::Present { frame: FrameId::new(f) };
+                    }
+                    g
+                }
+                EptOp::Unmap(g, backing) => {
+                    if let EptEntry::Present { frame } = model[g as usize] {
+                        prop_assert_eq!(ept.unmap(Gfn::new(g), backing), frame);
+                        model[g as usize] = EptEntry::NotPresent { backing };
+                    }
+                    g
+                }
+                EptOp::SetBacking(g, backing) => {
+                    if matches!(model[g as usize], EptEntry::NotPresent { .. }) {
+                        ept.set_backing(Gfn::new(g), backing);
+                        model[g as usize] = EptEntry::NotPresent { backing };
+                    }
+                    g
+                }
+            };
+            let (gfn, want) = (Gfn::new(g), model[g as usize]);
+            prop_assert_eq!(ept.entry(gfn), want);
+            let (frame, backing) = match want {
+                EptEntry::Present { frame } => (Some(frame), None),
+                EptEntry::NotPresent { backing } => (None, Some(backing)),
+            };
+            prop_assert_eq!(ept.translate(gfn), frame);
+            prop_assert_eq!(ept.backing(gfn), backing);
+            let resident = model.iter().filter(|e| matches!(e, EptEntry::Present { .. })).count();
+            prop_assert_eq!(ept.resident_pages(), resident as u64);
+        }
+        for (g, &want) in model.iter().enumerate() {
+            prop_assert_eq!(ept.entry(Gfn::new(g as u64)), want);
+        }
+        let present: Vec<(Gfn, FrameId)> = ept.iter_present().collect();
+        let expected: Vec<(Gfn, FrameId)> = model
+            .iter()
+            .enumerate()
+            .filter_map(|(g, e)| match *e {
+                EptEntry::Present { frame } => Some((Gfn::new(g as u64), frame)),
+                EptEntry::NotPresent { .. } => None,
+            })
+            .collect();
+        prop_assert_eq!(present, expected);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Structure-of-arrays GuestSwap vs a plain table of slot records
+// ----------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum GuestSwapOp {
+    Alloc(GuestSlotInfo),
+    FreeNth(usize),
+    Window(u64, u64),
+}
+
+fn guest_swap_op() -> impl Strategy<Value = GuestSwapOp> {
+    // The largest process id the packed `proc + 1` record can hold.
+    let proc = prop_oneof![0..8u32, Just(u32::MAX - 1)];
+    let info = (proc, any::<u64>(), any::<u64>()).prop_map(|(p, vpn, label)| GuestSlotInfo {
+        proc: ProcId::new(p),
+        vpn: Vpn::new(vpn),
+        label: ContentLabel::from_raw(label),
+    });
+    prop_oneof![
+        info.prop_map(GuestSwapOp::Alloc),
+        (0..64usize).prop_map(GuestSwapOp::FreeNth),
+        ((0..100u64), (1..20u64)).prop_map(|(start, len)| GuestSwapOp::Window(start, len)),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn guest_swap_matches_reference_slots(ops in prop::collection::vec(guest_swap_op(), 1..300)) {
+        // 80 slots: one full bitmap word and a partial one.
+        let (base, capacity) = (1000u64, 80u64);
+        let mut swap = GuestSwap::new(base, capacity);
+        let mut model: Vec<Option<GuestSlotInfo>> = vec![None; capacity as usize];
+        let mut cursor = 0u64;
+        for op in ops {
+            match op {
+                GuestSwapOp::Alloc(info) => {
+                    // First free slot at or after the cursor, else the
+                    // lowest free slot overall.
+                    let want = (cursor..capacity)
+                        .chain(0..cursor)
+                        .find(|&s| model[s as usize].is_none());
+                    prop_assert_eq!(swap.alloc(info), want, "cursor scan diverged from model");
+                    if let Some(slot) = want {
+                        model[slot as usize] = Some(info);
+                        cursor = slot + 1;
+                        prop_assert_eq!(swap.image_page(slot), base + slot);
+                    }
+                }
+                GuestSwapOp::FreeNth(n) => {
+                    let occupied: Vec<u64> =
+                        (0..capacity).filter(|&s| model[s as usize].is_some()).collect();
+                    if !occupied.is_empty() {
+                        let slot = occupied[n % occupied.len()];
+                        swap.free(slot);
+                        model[slot as usize] = None;
+                    }
+                }
+                GuestSwapOp::Window(start, len) => {
+                    let expected: Vec<(u64, GuestSlotInfo)> = (start..(start + len).min(capacity))
+                        .filter_map(|s| model[s as usize].map(|info| (s, info)))
+                        .collect();
+                    let mut into = Vec::new();
+                    swap.window_into(start, len, &mut into);
+                    prop_assert_eq!(&into, &expected);
+                    prop_assert_eq!(swap.window(start, len), expected);
+                }
+            }
+            prop_assert_eq!(swap.used(), model.iter().flatten().count() as u64);
+        }
+        for (s, &want) in model.iter().enumerate() {
+            prop_assert_eq!(swap.get(s as u64), want);
         }
     }
 }
