@@ -15,9 +15,9 @@
 //!   emission site to a single branch and never constructs the event, so
 //!   instrumentation is free when no sink is attached.
 //! * [`registry`] — a **hierarchical metrics registry**
-//!   ([`MetricsRegistry`]): named, component-scoped counters, gauges, and
-//!   histograms, with periodic gauge sampling into the existing
-//!   [`sim_core::Trace`] and a `scope/name` flattening for reports.
+//!   ([`MetricsRegistry`]): named, component-scoped counters and gauges,
+//!   with periodic gauge sampling into the existing [`sim_core::Trace`]
+//!   and a `scope/name` flattening for reports.
 //! * [`profile`] — a **simulated-time profiler** ([`Profiler`]): each
 //!   VM's runtime attributed to CPU execution, disk wait, fault handling,
 //!   or migration stall; the categories always sum to the VM's reported

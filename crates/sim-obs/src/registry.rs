@@ -2,30 +2,29 @@
 //!
 //! Components report metrics under a *scope* (`"host"`, `"disk"`,
 //! `"vm0"`, ...) with a metric name inside the scope. The registry holds
-//! three metric families:
+//! two metric families:
 //!
 //! * **counters** — monotone totals, absorbed wholesale from the
 //!   components' existing [`StatSet`]s or bumped individually;
 //! * **gauges** — instantaneous levels, periodically sampled into a
-//!   [`Trace`] for time-series figures;
-//! * **histograms** — fixed-bucket distributions of recorded samples.
+//!   [`Trace`] for time-series figures.
 //!
+//! Latency distributions live in [`crate::hist`], not here.
 //! [`MetricsRegistry::flatten`] renders everything into one `StatSet`
 //! with `scope/name` keys, which keeps reports and their serialization
 //! format uniform.
 
-use sim_core::{Histogram, SimTime, StatSet, Trace};
+use sim_core::{SimTime, StatSet, Trace};
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Default)]
 struct Scope {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<&'static str, i64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Scope {
-    /// Counters sum, gauges take `other`'s level, histograms combine.
+    /// Counters sum, gauges take `other`'s level.
     fn absorb(&mut self, other: &Scope) {
         for (name, &value) in &other.counters {
             if let Some(c) = self.counters.get_mut(name) {
@@ -37,17 +36,10 @@ impl Scope {
         for (&name, &value) in &other.gauges {
             self.gauges.insert(name, value);
         }
-        for (name, h) in &other.histograms {
-            if let Some(existing) = self.histograms.get_mut(name) {
-                existing.merge(h);
-            } else {
-                self.histograms.insert(name.clone(), h.clone());
-            }
-        }
     }
 }
 
-/// Named, component-scoped counters, gauges, and histograms.
+/// Named, component-scoped counters and gauges.
 ///
 /// # Examples
 ///
@@ -111,16 +103,6 @@ impl MetricsRegistry {
         self.scope_mut(scope).gauges.insert(name, value);
     }
 
-    /// Records one sample into the histogram `scope/name`, creating it
-    /// with the given bucket bounds on first use.
-    pub fn histogram_record(&mut self, scope: &str, name: &str, bounds: &[u64], sample: u64) {
-        let s = self.scope_mut(scope);
-        if !s.histograms.contains_key(name) {
-            s.histograms.insert(name.to_string(), Histogram::with_bounds(bounds));
-        }
-        s.histograms.get_mut(name).expect("just inserted").record(sample);
-    }
-
     /// Looks up a counter; zero when absent.
     pub fn counter(&self, scope: &str, name: &str) -> u64 {
         self.scopes.get(scope).and_then(|s| s.counters.get(name)).copied().unwrap_or(0)
@@ -129,11 +111,6 @@ impl MetricsRegistry {
     /// Looks up a gauge's latest level.
     pub fn gauge(&self, scope: &str, name: &str) -> Option<i64> {
         self.scopes.get(scope).and_then(|s| s.gauges.get(name)).copied()
-    }
-
-    /// Looks up a histogram.
-    pub fn histogram(&self, scope: &str, name: &str) -> Option<&Histogram> {
-        self.scopes.get(scope).and_then(|s| s.histograms.get(name))
     }
 
     /// Iterates over scope names.
@@ -152,17 +129,11 @@ impl MetricsRegistry {
     }
 
     /// Merges another registry into this one, scope by scope: counters
-    /// sum, gauges take the other registry's (latest) level, histograms
-    /// combine their samples.
+    /// sum, gauges take the other registry's (latest) level.
     ///
     /// Merging is deterministic for a fixed merge order, which is how the
     /// parallel experiment suite folds per-task sinks into one registry:
     /// tasks are merged in task order, never in completion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a shared histogram was created with different bucket
-    /// bounds on the two sides.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         for (scope_name, theirs) in &other.scopes {
             self.scope_mut(scope_name).absorb(theirs);
@@ -179,8 +150,7 @@ impl MetricsRegistry {
     }
 
     /// Renders the whole hierarchy as one flat [`StatSet`] with
-    /// `scope/name` keys; histograms contribute `.count`, `.max`, and
-    /// `.mean` (rounded) summary entries.
+    /// `scope/name` keys.
     pub fn flatten(&self) -> StatSet {
         let mut flat = StatSet::new();
         for (scope, s) in &self.scopes {
@@ -189,13 +159,6 @@ impl MetricsRegistry {
             }
             for (&name, &value) in &s.gauges {
                 flat.set(&format!("{scope}/{name}"), value.max(0) as u64);
-            }
-            for (name, h) in &s.histograms {
-                flat.set(&format!("{scope}/{name}.count"), h.count());
-                flat.set(&format!("{scope}/{name}.max"), h.max());
-                if let Some(mean) = h.mean() {
-                    flat.set(&format!("{scope}/{name}.mean"), mean.round() as u64);
-                }
             }
         }
         flat
@@ -211,15 +174,6 @@ impl std::fmt::Display for MetricsRegistry {
             }
             for (name, value) in &s.gauges {
                 writeln!(f, "  {name:<40} {value} (gauge)")?;
-            }
-            for (name, h) in &s.histograms {
-                writeln!(
-                    f,
-                    "  {name:<40} n={} max={} mean={:.1} (histogram)",
-                    h.count(),
-                    h.max(),
-                    h.mean().unwrap_or(0.0)
-                )?;
             }
         }
         Ok(())
@@ -267,36 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn histograms_summarize() {
-        let mut m = MetricsRegistry::new();
-        for v in [1, 2, 100] {
-            m.histogram_record("disk", "latency_us", &[10, 100, 1000], v);
-        }
-        let flat = m.flatten();
-        assert_eq!(flat.get("disk/latency_us.count"), 3);
-        assert_eq!(flat.get("disk/latency_us.max"), 100);
-        let h = m.histogram("disk", "latency_us").unwrap();
-        assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_combines_histograms() {
+    fn merge_sums_counters_and_takes_latest_gauges() {
         let mut a = MetricsRegistry::new();
         a.counter_add("disk", "ops", 2);
         a.gauge_set("host", "free", 10);
-        a.histogram_record("disk", "lat", &[10, 100], 5);
         let mut b = MetricsRegistry::new();
         b.counter_add("disk", "ops", 3);
         b.counter_add("host", "faults", 1);
         b.gauge_set("host", "free", 7);
-        b.histogram_record("disk", "lat", &[10, 100], 500);
         a.merge_from(&b);
         assert_eq!(a.counter("disk", "ops"), 5);
         assert_eq!(a.counter("host", "faults"), 1);
         assert_eq!(a.gauge("host", "free"), Some(7), "gauges take the merged-in level");
-        let h = a.histogram("disk", "lat").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 500);
     }
 
     #[test]

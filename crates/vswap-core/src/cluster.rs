@@ -17,7 +17,8 @@
 //!   The migration's cost is fully simulated: pre-copy rounds through
 //!   [`LiveMigration`] on the source (network time, swap readbacks,
 //!   re-dirtying), then the page-state hand-off of
-//!   [`Machine::extract_vm`]/[`Machine::admit_vm`];
+//!   [`Machine::detach_vm`] ([`Detach::Orderly`]) and
+//!   [`Machine::admit_vm`];
 //! * **merged reporting** — [`ClusterReport`] aggregates per-host
 //!   [`RunReport`]s and re-indexes every host's per-VM latency book by
 //!   *tenant*, so a guest's swap-in percentiles follow it across hosts.
@@ -40,9 +41,10 @@
 //! order. The cluster survives the plan:
 //!
 //! * **crash → evacuate**: a crashed host's guests are rescued through
-//!   [`Machine::evacuate_vm`] — Mapper block references and swap-slot
-//!   records are replayed onto a surviving host, pages whose only copy
-//!   was the dead DRAM are invalidated guest-side and re-faulted.
+//!   the same hand-off with [`Detach::Crashed`] — Mapper block
+//!   references and swap-slot records are replayed onto a surviving
+//!   host, pages whose only copy was the dead DRAM are invalidated
+//!   guest-side and re-faulted.
 //!   A crash is suppressed (never half-applied) when it would take the
 //!   last alive host or when some guest could not be re-placed;
 //! * **link loss → abort, retry**: an in-flight migration whose link
@@ -101,13 +103,14 @@
 //! ```
 
 use crate::config::MachineConfig;
-use crate::machine::{Machine, MachineError, VmHandle};
+use crate::machine::{Machine, MachineError, MigratedVm, VmHandle};
 use crate::migration::{LiveMigration, MigrationConfig};
 use crate::report::RunReport;
 use sim_core::{DeterministicRng, SimDuration, SimTime};
 use sim_obs::json::JsonWriter;
 use sim_obs::{Event, LatencyBook, LatencyClass};
 use vswap_disk::{entity_key, ClusterFaultPlan, ClusterFaultProfile};
+use vswap_hostos::Detach;
 use vswap_hypervisor::{DegradationTracker, HostPressure, PressureTracker, RetryPolicy, VmSpec};
 
 /// Identifies one guest across the whole cluster, stable across
@@ -663,7 +666,8 @@ impl Cluster {
     ///
     /// Returns [`MachineError::Host`] if the host template is
     /// inconsistent, and [`MachineError::Config`] if `host_names` is
-    /// empty or contains duplicates.
+    /// empty or contains duplicates, or if the scheduler's
+    /// `poll_interval` is zero.
     pub fn new(cfg: ClusterConfig) -> Result<Self, MachineError> {
         let mut names = cfg.host_names.clone();
         names.sort();
@@ -672,6 +676,12 @@ impl Cluster {
         }
         if let Some(dup) = names.windows(2).find(|w| w[0] == w[1]) {
             return Err(MachineError::Config(format!("duplicate host name `{}`", dup[0])));
+        }
+        if cfg.scheduler.poll_interval == SimDuration::ZERO {
+            // A zero epoch would pin every barrier at time zero forever.
+            return Err(MachineError::Config(
+                "the scheduler poll_interval must be positive".into(),
+            ));
         }
 
         let fault_cfg = cfg.cluster_faults.config();
@@ -1100,19 +1110,9 @@ impl Cluster {
                 return;
             }
         };
-        let grant = self.hosts[src].machine.extract_vm(handle);
+        let grant = self.hosts[src].machine.detach_vm(handle, Detach::Orderly);
         let flush = grant.flush_cost();
-        let arrival =
-            self.hosts[src].machine.now().max(self.hosts[dst].machine.now()) + mig.downtime + flush;
-        let new_handle = self.hosts[dst]
-            .machine
-            .admit_vm(grant, arrival)
-            .expect("destination was checked to fit the migrating VM");
-
-        let tenant_idx = u32::try_from(ti).expect("tenant count fits u32");
-        self.note_tenant_on_host(dst, new_handle, tenant_idx);
-        self.hosts[src].committed_pages = self.hosts[src].committed_pages.saturating_sub(pages);
-        self.hosts[dst].committed_pages += pages;
+        self.rehome(ti, src, dst, grant, mig.downtime + flush);
         self.hosts[src].migrations_out += 1;
         self.hosts[dst].migrations_in += 1;
         self.hosts[src].tracker.reset();
@@ -1125,13 +1125,6 @@ impl Cluster {
             downtime: mig.downtime + flush,
             rounds: u32::try_from(mig.rounds.len()).expect("round count fits u32"),
         });
-        let t = &mut self.tenants[ti];
-        t.host = dst;
-        t.handle = new_handle;
-        t.prev_swap_ins = 0;
-        t.last_migration_epoch = Some(self.epoch);
-        t.abort_attempts = 0;
-        t.retry_not_before = None;
     }
 
     /// Fires any host crashes the fault plan schedules for this epoch.
@@ -1218,28 +1211,11 @@ impl Cluster {
         let mut refaulted_pages = 0u64;
         let mut dropped_buffers = 0u64;
         for (ti, dest) in assignments {
-            let handle = self.tenants[ti].handle;
-            let pages = self.tenants[ti].pages;
-            let evac = self.hosts[src].machine.evacuate_vm(handle);
-            recovered_pages += evac.recovered_pages;
-            refaulted_pages += evac.refaulted_pages;
-            dropped_buffers += evac.dropped_buffers;
-            let arrival = self.hosts[src].machine.now().max(self.hosts[dest].machine.now());
-            let new_handle = self.hosts[dest]
-                .machine
-                .admit_vm(evac.vm, arrival)
-                .expect("evacuation destination was capacity-checked");
-            let tenant_idx = u32::try_from(ti).expect("tenant count fits u32");
-            self.note_tenant_on_host(dest, new_handle, tenant_idx);
-            self.hosts[src].committed_pages = self.hosts[src].committed_pages.saturating_sub(pages);
-            self.hosts[dest].committed_pages += pages;
-            let t = &mut self.tenants[ti];
-            t.host = dest;
-            t.handle = new_handle;
-            t.prev_swap_ins = 0;
-            t.last_migration_epoch = Some(self.epoch);
-            t.abort_attempts = 0;
-            t.retry_not_before = None;
+            let evac = self.hosts[src].machine.detach_vm(self.tenants[ti].handle, Detach::Crashed);
+            recovered_pages += evac.recovered_pages();
+            refaulted_pages += evac.refaulted_pages();
+            dropped_buffers += evac.dropped_buffers();
+            self.rehome(ti, src, dest, evac, SimDuration::ZERO);
         }
         self.hosts[src].alive = false;
         self.crashes.push(CrashRecord {
@@ -1250,6 +1226,30 @@ impl Cluster {
             refaulted_pages,
             dropped_buffers,
         });
+    }
+
+    /// Admits tenant `ti`'s detached VM on `dst`, arriving `delay` after
+    /// the later of the two hosts' clocks, and moves the tenant's
+    /// bookkeeping there from `src`. Both a migration and a crash
+    /// evacuation end here.
+    fn rehome(&mut self, ti: usize, src: usize, dst: usize, vm: MigratedVm, delay: SimDuration) {
+        let arrival = self.hosts[src].machine.now().max(self.hosts[dst].machine.now()) + delay;
+        let new_handle = self.hosts[dst]
+            .machine
+            .admit_vm(vm, arrival)
+            .expect("the destination was checked to fit the VM");
+        let tenant_idx = u32::try_from(ti).expect("tenant count fits u32");
+        self.note_tenant_on_host(dst, new_handle, tenant_idx);
+        let pages = self.tenants[ti].pages;
+        self.hosts[src].committed_pages = self.hosts[src].committed_pages.saturating_sub(pages);
+        self.hosts[dst].committed_pages += pages;
+        let t = &mut self.tenants[ti];
+        t.host = dst;
+        t.handle = new_handle;
+        t.prev_swap_ins = 0;
+        t.last_migration_epoch = Some(self.epoch);
+        t.abort_attempts = 0;
+        t.retry_not_before = None;
     }
 
     fn note_tenant_on_host(&mut self, host: usize, handle: VmHandle, tenant: u32) {
@@ -1312,6 +1312,16 @@ mod tests {
         let err = Cluster::new(ClusterConfig::homogeneous(0, machine)).unwrap_err();
         assert!(matches!(err, MachineError::Config(_)), "got {err:?}");
         assert!(err.to_string().contains("at least one host"), "{err}");
+    }
+
+    #[test]
+    fn zero_poll_interval_is_a_typed_config_error_not_a_hang() {
+        let machine = MachineConfig::preset(SwapPolicy::Vswapper).with_host(small_host());
+        let mut cfg = ClusterConfig::homogeneous(2, machine);
+        cfg.scheduler.poll_interval = SimDuration::ZERO;
+        let err = Cluster::new(cfg).unwrap_err();
+        assert!(matches!(err, MachineError::Config(_)), "got {err:?}");
+        assert!(err.to_string().contains("poll_interval"), "{err}");
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use cluster::{
     SchedulerConfig, TenantId,
 };
 pub use config::{Ballooning, MachineConfig, SwapPolicy};
-pub use machine::{EvacuatedVm, Machine, MachineError, MigratedVm, VmHandle};
+pub use machine::{Machine, MachineError, MigratedVm, VmHandle};
 pub use mapper::SwapMapper;
 pub use migration::{LiveMigration, MigrationAborted, MigrationConfig, MigrationReport, NetSpec};
 pub use pathology::{Pathology, PathologyBreakdown};

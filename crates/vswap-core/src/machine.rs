@@ -16,7 +16,7 @@ use std::fmt;
 use vswap_guestos::{
     AccessResult, GuestCtx, GuestError, GuestKernel, GuestProgram, StepOutcome, VirtualHardware,
 };
-use vswap_hostos::{HostError, HostKernel, VmExport, VmMmConfig};
+use vswap_hostos::{Detach, HostError, HostKernel, PageState, VmExport, VmMmConfig};
 use vswap_hypervisor::{BalloonManager, VmSpec, VmTelemetry};
 use vswap_mem::{ContentLabel, Gfn, VmId};
 
@@ -115,24 +115,27 @@ impl VmEntry {
     }
 }
 
-/// A VM lifted out of one [`Machine`] for admission into another — the
-/// cross-host half of live migration. Produced by [`Machine::extract_vm`]
-/// after the pre-copy rounds have run, and consumed by
+/// A VM lifted out of one [`Machine`] for admission into another.
+/// Produced by [`Machine::detach_vm`] — after a live migration's
+/// pre-copy rounds, or off a crashed host — and consumed by
 /// [`Machine::admit_vm`] on the destination. Carries the guest kernel,
-/// the still-pending workload slots, the completed-workload history, and
-/// the host-level page-state export (shared-storage image plus per-page
-/// wire states).
+/// the still-pending workload slots, the completed-workload history, the
+/// host-level page-state export (shared-storage image plus per-page wire
+/// states), and the crash accounting, which is all zero after a
+/// [`Detach::Orderly`] detach.
 pub struct MigratedVm {
     spec: VmSpec,
     guest: GuestKernel,
     slots: Vec<ProgramSlot>,
     next_slot: usize,
     history: Vec<VmReport>,
-    prev_guest_swap_outs: u64,
     export: VmExport,
     /// Simulated time the source spent merging the VM's pending
     /// Preventer write buffers before the export (part of the downtime).
     flush_cost: SimDuration,
+    recovered_pages: u64,
+    refaulted_pages: u64,
+    dropped_buffers: u64,
 }
 
 impl MigratedVm {
@@ -150,26 +153,26 @@ impl MigratedVm {
     pub fn flush_cost(&self) -> SimDuration {
         self.flush_cost
     }
-}
 
-/// A VM rescued off a *crashed* host by [`Machine::evacuate_vm`]: the
-/// lossy migrant plus an exact accounting of what survived the crash
-/// and what the guest will have to re-fault. Nothing is silently
-/// dropped — every page is either recovered from an on-disk record or
-/// counted here and invalidated guest-side.
-pub struct EvacuatedVm {
-    /// The migrant, admissible on a surviving host via
-    /// [`Machine::admit_vm`] like any orderly migration.
-    pub vm: MigratedVm,
-    /// Pages recovered without their bytes: Mapper block references and
-    /// host swap-slot records, both of which survive on disk.
-    pub recovered_pages: u64,
-    /// Pages whose only copy was the dead host's DRAM; invalidated in
-    /// the guest so it re-faults (re-reads or re-initializes) them.
-    pub refaulted_pages: u64,
-    /// Preventer write buffers dropped un-merged — in-flight emulated
-    /// writes the crash destroyed (their pages count as refaulted).
-    pub dropped_buffers: u64,
+    /// Pages a crash recovered without their bytes: Mapper block
+    /// references and host swap-slot records, both of which survive on
+    /// disk.
+    pub fn recovered_pages(&self) -> u64 {
+        self.recovered_pages
+    }
+
+    /// Pages a crash invalidated in the guest because their only copy
+    /// was the dead host's DRAM (or an un-merged write buffer); the
+    /// guest re-faults them after admission.
+    pub fn refaulted_pages(&self) -> u64 {
+        self.refaulted_pages
+    }
+
+    /// Preventer write buffers a crash dropped un-merged — in-flight
+    /// emulated writes whose pages count as refaulted.
+    pub fn dropped_buffers(&self) -> u64 {
+        self.dropped_buffers
+    }
 }
 
 /// The machine. See the crate-level docs for a quick-start example.
@@ -622,78 +625,60 @@ impl Machine {
         &self.entry(vm.0).spec
     }
 
-    /// Lifts a VM off this machine for admission elsewhere (the final
-    /// hand-off of a live migration, after the pre-copy rounds ran).
+    /// Lifts a VM off this machine for admission elsewhere. Its
+    /// unfinished workloads and completed-workload history travel with
+    /// it, so cluster-level reports follow the tenant, not the host.
     ///
-    /// Pending Preventer write buffers are merged first — their content
-    /// exists nowhere else — then the host kernel exports the per-page
-    /// wire states and releases every host resource the VM held. The
-    /// VM's unfinished workloads and its completed-workload history
-    /// travel with it, so cluster-level reports follow the tenant, not
-    /// the host.
-    pub fn extract_vm(&mut self, vm: VmHandle) -> MigratedVm {
+    /// [`Detach::Orderly`] is the final hand-off of a live migration,
+    /// after the pre-copy rounds ran: pending Preventer write buffers are
+    /// merged first — their content exists nowhere else — then the host
+    /// kernel exports the per-page wire states and releases every host
+    /// resource the VM held.
+    ///
+    /// [`Detach::Crashed`] detaches as if the host just fail-stopped
+    /// (DRAM gone, host-local disk intact). There is no time to merge, so
+    /// write buffers are dropped un-merged; the host replays what its disk
+    /// still knows (Mapper block references, swap-slot records) into the
+    /// wire state; and every page whose only copy was DRAM or a dropped
+    /// buffer is invalidated in the guest kernel, so the guest re-faults
+    /// it after admission instead of reading stale content. Guests on a
+    /// Mapper-less host lose *all* resident pages — the paper's
+    /// disposable-memory argument, seen from the fault-tolerance side:
+    /// block references make most guest memory recoverable.
+    pub fn detach_vm(&mut self, vm: VmHandle, mode: Detach) -> MigratedVm {
         let now = self.clock.now();
-        let flush_cost = self.preventer.flush_vm(&mut self.host, now, vm.0);
-        let export = self.host.export_vm(vm.0);
+        let (flush_cost, dropped) = match mode {
+            Detach::Orderly => (self.preventer.flush_vm(&mut self.host, now, vm.0), Vec::new()),
+            Detach::Crashed => {
+                (SimDuration::ZERO, self.preventer.dispose_vm(&mut self.host, now, vm.0))
+            }
+        };
+        let export = self.host.export_vm(vm.0, mode);
         let idx = self.vms.iter().position(|e| e.id == vm.0).expect("unknown VM");
-        let entry = self.vms.remove(idx);
+        let mut entry = self.vms.remove(idx);
+        let mut refaulted_pages = 0u64;
+        for &gfn in export.lost.iter().chain(&dropped) {
+            refaulted_pages += u64::from(entry.guest.crash_drop_page(gfn));
+        }
+        let mut recovered_pages = 0u64;
+        if mode == Detach::Crashed {
+            recovered_pages =
+                export.pages.iter().filter(|&&p| p != PageState::Untouched).count() as u64;
+            self.events.emit_with(now, Some(vm.0.get()), || Event::Evacuation {
+                recovered_pages,
+                refaulted_pages,
+            });
+        }
         MigratedVm {
             spec: entry.spec,
             guest: entry.guest,
             slots: entry.slots,
             next_slot: entry.next_slot,
             history: entry.history,
-            prev_guest_swap_outs: 0,
             export,
             flush_cost,
-        }
-    }
-
-    /// Lifts a VM off this machine as if the host just *crashed*
-    /// (fail-stop: DRAM gone, host-local disk intact). The orderly
-    /// extraction path is impossible — there is no time to merge
-    /// Preventer buffers or read swapped pages back — so:
-    ///
-    /// * pending write-buffer emulations are dropped un-merged,
-    /// * the host replays what its disk still knows (Mapper block
-    ///   references, swap-slot records) into the wire state,
-    /// * every page whose only copy was DRAM is invalidated in the
-    ///   guest kernel, so the guest re-faults it after admission
-    ///   instead of reading stale content.
-    ///
-    /// Guests on a Mapper-less host lose *all* resident pages — the
-    /// paper's disposable-memory argument, seen from the fault-tolerance
-    /// side: block references make most guest memory recoverable.
-    pub fn evacuate_vm(&mut self, vm: VmHandle) -> EvacuatedVm {
-        let now = self.clock.now();
-        let dropped = self.preventer.dispose_vm(&mut self.host, now, vm.0);
-        let crash = self.host.export_vm_crashed(vm.0);
-        let idx = self.vms.iter().position(|e| e.id == vm.0).expect("unknown VM");
-        let mut entry = self.vms.remove(idx);
-        let mut refaulted = 0u64;
-        for &gfn in crash.lost.iter().chain(dropped.iter()) {
-            if entry.guest.crash_drop_page(gfn) {
-                refaulted += 1;
-            }
-        }
-        let recovered = crash.recovered_refs + crash.recovered_slots;
-        self.events.emit_with(now, Some(vm.0.get()), || Event::Evacuation {
-            recovered_pages: recovered,
-            refaulted_pages: refaulted,
-        });
-        EvacuatedVm {
-            vm: MigratedVm {
-                spec: entry.spec,
-                guest: entry.guest,
-                slots: entry.slots,
-                next_slot: entry.next_slot,
-                history: entry.history,
-                prev_guest_swap_outs: 0,
-                export: crash.export,
-                flush_cost: SimDuration::ZERO,
-            },
-            recovered_pages: recovered,
-            refaulted_pages: refaulted,
+            recovered_pages,
+            refaulted_pages,
             dropped_buffers: dropped.len() as u64,
         }
     }
@@ -729,7 +714,7 @@ impl Machine {
             slots: grant.slots,
             next_slot: grant.next_slot,
             ready_at,
-            prev_guest_swap_outs: grant.prev_guest_swap_outs,
+            prev_guest_swap_outs: 0,
             history: grant.history,
         });
         Ok(VmHandle(id))

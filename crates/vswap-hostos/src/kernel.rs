@@ -90,6 +90,20 @@ enum FaultCause {
     HostIo,
 }
 
+/// How a VM leaves its host. Both modes take the same hand-off path and
+/// differ only in what a dead host can no longer provide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Detach {
+    /// Live migration's hand-off: the source is healthy, so pending
+    /// Preventer buffers are merged and resident anonymous content is
+    /// copied.
+    Orderly,
+    /// Fail-stop crash: DRAM is gone but the host-local disk survives.
+    /// Preventer buffers are disposed un-merged, and resident anonymous
+    /// pages are reported lost instead of exported.
+    Crashed,
+}
+
 /// One guest page's state on the migration wire, produced by
 /// [`HostKernel::export_vm`] and consumed by [`HostKernel::import_vm`].
 ///
@@ -98,17 +112,15 @@ enum FaultCause {
 /// as [`PageState::Anon`] content.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageState {
-    /// Never materialized: nothing travels, the target zero-fills lazily.
+    /// Never materialized (or lost in a crash): nothing travels, the
+    /// target zero-fills lazily.
     Untouched,
-    /// Named page: an 8-byte reference into the shared disk image. The
-    /// target re-establishes the block association and, if `resident`,
-    /// re-reads the content from the (shared) image region.
+    /// Named page, resident or discarded: an 8-byte reference into the
+    /// shared disk image. The target re-establishes the block
+    /// association and refaults the content on demand.
     Named {
         /// The disk-image block holding the bytes.
         image_page: u64,
-        /// Whether the page was resident at handover (non-resident named
-        /// pages arrive discarded: zero target memory until refaulted).
-        resident: bool,
     },
     /// Anonymous content: 4 KiB crossed the wire; arrives resident and
     /// dirty on the target.
@@ -133,36 +145,19 @@ pub struct VmExport {
     pub pages: Vec<PageState>,
     /// The page-type-aware protection hint, carried across.
     pub protected_below: u64,
-}
-
-/// The result of detaching a VM from a crashed host
-/// ([`HostKernel::export_vm_crashed`]): the lossy wire state plus an
-/// exact accounting of what was recovered from on-disk records and what
-/// perished with the host's DRAM.
-#[derive(Debug)]
-pub struct CrashExport {
-    /// The wire state a surviving host can admit. Pages listed in
-    /// `lost` are exported as [`PageState::Untouched`].
-    pub export: VmExport,
-    /// Guest frames whose only copy was the crashed host's DRAM; the
-    /// caller must invalidate these guest-side so the guest re-faults
-    /// them instead of reading stale content.
+    /// Guest frames whose only copy was a crashed host's DRAM, exported
+    /// as [`PageState::Untouched`]; the caller must invalidate them
+    /// guest-side so the guest re-faults them instead of reading stale
+    /// content. Always empty after a [`Detach::Orderly`] export.
     pub lost: Vec<Gfn>,
-    /// Pages recovered via Mapper block references (clean named frames
-    /// and discarded associations) — no bytes needed, the shared image
-    /// has them.
-    pub recovered_refs: u64,
-    /// Pages recovered from host swap-area slot records, which survive
-    /// on the host's disk.
-    pub recovered_slots: u64,
 }
 
 /// Where a guest page's content currently lives (migration's view).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageResidency {
-    /// Resident and associated with a disk-image block (named): the
-    /// target can re-map it from the shared image instead of receiving
-    /// its bytes.
+    /// Resident, clean, and associated with a disk-image block under the
+    /// Mapper (named): the target can re-map it from the shared image
+    /// instead of receiving its bytes.
     ResidentNamed,
     /// Resident anonymous content: must be copied.
     ResidentAnon,
@@ -548,8 +543,11 @@ impl HostKernel {
     pub fn page_residency(&self, vm: VmId, gfn: Gfn) -> PageResidency {
         let mm = &self.vms[vm.index()];
         match mm.ept.translate(gfn) {
-            Some(_) => {
-                if mm.origin.page_for_gfn(gfn).is_some() && mm.mapper_enabled {
+            Some(frame) => {
+                if mm.origin.page_for_gfn(gfn).is_some()
+                    && mm.mapper_enabled
+                    && !self.frames.dirty(frame)
+                {
                     PageResidency::ResidentNamed
                 } else {
                     PageResidency::ResidentAnon
@@ -603,113 +601,53 @@ impl HostKernel {
     // Live-migration handoff (cluster mode)
     // ------------------------------------------------------------------
 
-    /// Detaches a VM for live migration: captures every guest page's wire
-    /// state, moves the (shared-storage) disk image out, and releases all
-    /// host-side resources the VM held — frames, swap slots, block
-    /// associations, hypervisor code pages. The `VmId` remains allocated
-    /// but vacated (IDs are never reused), and the VM's disk regions stay
-    /// carved out of the layout, as a shared-storage image would.
+    /// Detaches a VM: captures every guest page's wire state, moves the
+    /// (shared-storage) disk image out, and releases all host-side
+    /// resources the VM held — frames, swap slots, block associations,
+    /// hypervisor code pages. The `VmId` remains allocated but vacated
+    /// (IDs are never reused), and the VM's disk regions stay carved out
+    /// of the layout, as a shared-storage image would.
     ///
-    /// Swapped pages are exported as anonymous content; the caller models
-    /// the swap readback I/O (see
-    /// [`HostKernel::migration_read_swapped`]).
-    pub fn export_vm(&mut self, vm: VmId) -> VmExport {
-        let gfn_count = self.vms[vm.index()].ept.gfn_count();
-        let mut pages = Vec::with_capacity(gfn_count as usize);
-        for g in 0..gfn_count {
-            let gfn = Gfn::new(g);
-            let mm = &self.vms[vm.index()];
-            let state = match mm.ept.translate(gfn) {
-                Some(frame) => match mm.origin.page_for_gfn(gfn) {
-                    Some(page) if mm.mapper_enabled && !self.frames.dirty(frame) => {
-                        PageState::Named { image_page: page, resident: true }
-                    }
-                    _ => PageState::Anon { label: self.frames.label(frame) },
-                },
-                None => match mm.ept.backing(gfn).expect("non-present") {
-                    Backing::None => PageState::Untouched,
-                    Backing::SwapSlot(slot) => {
-                        PageState::Anon { label: self.swap.get(slot).expect("occupied slot").label }
-                    }
-                    Backing::ImagePage(page) => {
-                        PageState::Named { image_page: page, resident: false }
-                    }
-                },
-            };
-            pages.push(state);
-        }
-        let cfg = VmMmConfig {
-            gfn_count,
-            image_pages: self.vms[vm.index()].image.pages(),
-            mem_limit_pages: self.vms[vm.index()].mem_limit,
-            mapper_enabled: self.vms[vm.index()].mapper_enabled,
-        };
-        let protected_below = self.vms[vm.index()].protected_below;
-        let image = self.release_vm(vm);
-        VmExport { cfg, image, pages, protected_below }
-    }
-
-    /// Detaches a VM from a *crashed* host. Unlike [`HostKernel::export_vm`]
-    /// the host's DRAM is gone, so only state with an on-disk record
-    /// survives: Mapper block references (clean named pages), discarded
-    /// associations, and swap-slot records are replayed into the wire
-    /// state; every resident page whose sole copy was DRAM — dirty
-    /// frames, unassociated anonymous content, and *all* resident pages
-    /// on a Mapper-less host — is exported as untouched and listed in
-    /// `lost`, so the caller can invalidate it guest-side and the guest
-    /// re-faults it. Nothing is ever silently dropped: a page is either
-    /// recovered or reported lost.
-    pub fn export_vm_crashed(&mut self, vm: VmId) -> CrashExport {
-        let gfn_count = self.vms[vm.index()].ept.gfn_count();
+    /// Each page is classified by [`HostKernel::page_residency`]. Named
+    /// pages, resident or discarded, travel as block references; swapped
+    /// pages travel as their slot's content (the caller models the swap
+    /// readback I/O, see [`HostKernel::migration_read_swapped`]). Resident
+    /// anonymous pages are copied under [`Detach::Orderly`]; under
+    /// [`Detach::Crashed`] their only copy was the dead host's DRAM, so
+    /// they are exported as untouched and listed in [`VmExport::lost`].
+    /// Nothing is ever silently dropped: a page is either exported or
+    /// reported lost.
+    pub fn export_vm(&mut self, vm: VmId, mode: Detach) -> VmExport {
+        let mm = &self.vms[vm.index()];
+        let gfn_count = mm.ept.gfn_count();
         let mut pages = Vec::with_capacity(gfn_count as usize);
         let mut lost = Vec::new();
-        let mut recovered_refs = 0u64;
-        let mut recovered_slots = 0u64;
         for g in 0..gfn_count {
             let gfn = Gfn::new(g);
-            let mm = &self.vms[vm.index()];
-            let state = match mm.ept.translate(gfn) {
-                Some(frame) => match mm.origin.page_for_gfn(gfn) {
-                    Some(page) if mm.mapper_enabled && !self.frames.dirty(frame) => {
-                        // The block reference survives on shared storage.
-                        recovered_refs += 1;
-                        PageState::Named { image_page: page, resident: false }
-                    }
-                    _ => {
-                        // The only copy was the crashed host's DRAM.
-                        lost.push(gfn);
-                        PageState::Untouched
-                    }
+            let state = match self.page_residency(vm, gfn) {
+                PageResidency::Untouched => PageState::Untouched,
+                PageResidency::ResidentNamed | PageResidency::Discarded => PageState::Named {
+                    image_page: mm.origin.page_for_gfn(gfn).expect("named pages hold a block"),
                 },
-                None => match mm.ept.backing(gfn).expect("non-present") {
-                    Backing::None => PageState::Untouched,
-                    Backing::SwapSlot(slot) => {
-                        // The slot record survives on the host's disk.
-                        recovered_slots += 1;
-                        PageState::Anon { label: self.swap.get(slot).expect("occupied slot").label }
-                    }
-                    Backing::ImagePage(page) => {
-                        recovered_refs += 1;
-                        PageState::Named { image_page: page, resident: false }
-                    }
+                PageResidency::ResidentAnon if mode == Detach::Crashed => {
+                    lost.push(gfn);
+                    PageState::Untouched
+                }
+                PageResidency::ResidentAnon | PageResidency::Swapped => PageState::Anon {
+                    label: self.page_signature(vm, gfn).expect("materialized pages have content"),
                 },
             };
             pages.push(state);
         }
         let cfg = VmMmConfig {
             gfn_count,
-            image_pages: self.vms[vm.index()].image.pages(),
-            mem_limit_pages: self.vms[vm.index()].mem_limit,
-            mapper_enabled: self.vms[vm.index()].mapper_enabled,
+            image_pages: mm.image.pages(),
+            mem_limit_pages: mm.mem_limit,
+            mapper_enabled: mm.mapper_enabled,
         };
-        let protected_below = self.vms[vm.index()].protected_below;
+        let protected_below = mm.protected_below;
         let image = self.release_vm(vm);
-        CrashExport {
-            export: VmExport { cfg, image, pages, protected_below },
-            lost,
-            recovered_refs,
-            recovered_slots,
-        }
+        VmExport { cfg, image, pages, protected_below, lost }
     }
 
     /// Frees every host resource a VM holds and vacates its slot,
@@ -782,7 +720,7 @@ impl HostKernel {
         now: SimTime,
         export: VmExport,
     ) -> Result<(VmId, SimDuration), HostError> {
-        let VmExport { cfg, image, pages, protected_below } = export;
+        let VmExport { cfg, image, pages, protected_below, lost: _ } = export;
         assert_eq!(image.pages(), cfg.image_pages, "image must match its geometry");
         assert_eq!(pages.len() as u64, cfg.gfn_count, "one wire state per gfn");
         let (image_region, hv_binary_region) = self.alloc_vm_regions(cfg.image_pages)?;
@@ -796,42 +734,32 @@ impl HostKernel {
         // Install the guest pages from their wire state.
         for (g, &state) in pages.iter().enumerate() {
             let gfn = Gfn::new(g as u64);
-            match state {
-                PageState::Untouched => {}
-                PageState::Named { image_page, resident: _ } => {
-                    if self.vms[vm.index()].mapper_enabled {
-                        // §7: the target avoids requesting pages it can
-                        // re-map from shared storage. Named pages land
-                        // *discarded* — zero target memory on arrival —
-                        // and refault on demand with image readahead.
-                        self.vms[vm.index()].origin.associate(gfn, image_page);
-                        self.vms[vm.index()].ept.set_backing(gfn, Backing::ImagePage(image_page));
-                    } else {
-                        // Without the Mapper the target cannot hold a
-                        // block association: the page lands as plain
-                        // anonymous content.
-                        let frame = self
-                            .alloc_frame(&mut t, vm, FrameOwner::Guest { vm, gfn })
-                            .expect("reclaim guarantees progress");
-                        let label = self.vms[vm.index()].image.label(image_page);
-                        self.frames.set_label(frame, label);
-                        self.frames.set_dirty(frame, true);
-                        self.vms[vm.index()].ept.map(gfn, frame);
-                        self.list_push(vm, frame, false);
-                    }
+            let mm = &mut self.vms[vm.index()];
+            let label = match state {
+                PageState::Untouched => continue,
+                PageState::Named { image_page } if mm.mapper_enabled => {
+                    // §7: the target avoids requesting pages it can
+                    // re-map from shared storage. Named pages land
+                    // *discarded* — zero target memory on arrival — and
+                    // refault on demand with image readahead.
+                    mm.origin.associate(gfn, image_page);
+                    mm.ept.set_backing(gfn, Backing::ImagePage(image_page));
+                    continue;
                 }
-                PageState::Anon { label } => {
-                    let frame = self
-                        .alloc_frame(&mut t, vm, FrameOwner::Guest { vm, gfn })
-                        .expect("reclaim guarantees progress");
-                    self.frames.set_label(frame, label);
-                    // The content exists nowhere on this host's disk:
-                    // dirty, so reclaim must swap (never discard) it.
-                    self.frames.set_dirty(frame, true);
-                    self.vms[vm.index()].ept.map(gfn, frame);
-                    self.list_push(vm, frame, false);
-                }
-            }
+                // Without the Mapper the target cannot hold a block
+                // association: the page lands as plain anonymous content.
+                PageState::Named { image_page } => mm.image.label(image_page),
+                PageState::Anon { label } => label,
+            };
+            let frame = self
+                .alloc_frame(&mut t, vm, FrameOwner::Guest { vm, gfn })
+                .expect("reclaim guarantees progress");
+            self.frames.set_label(frame, label);
+            // The content exists nowhere on this host's disk: dirty, so
+            // reclaim must swap (never discard) it.
+            self.frames.set_dirty(frame, true);
+            self.vms[vm.index()].ept.map(gfn, frame);
+            self.list_push(vm, frame, false);
         }
         Ok((vm, t - now))
     }
@@ -1984,9 +1912,15 @@ impl HostKernel {
         for (frame, owner) in self.frames.iter_allocated() {
             let (vm, expect_listed) = match owner {
                 FrameOwner::Guest { vm, gfn } => {
-                    let got = self.vms[vm.index()].ept.translate(gfn);
+                    let mm = &self.vms[vm.index()];
+                    let got = mm.ept.translate(gfn);
                     if got != Some(frame) {
                         return Err(format!("{frame} claims {vm}/{gfn} but EPT says {got:?}"));
+                    }
+                    // A block association promises the frame still
+                    // matches its block, which the export relies on.
+                    if self.frames.dirty(frame) && mm.origin.page_for_gfn(gfn).is_some() {
+                        return Err(format!("{frame} of {vm}/{gfn} is dirty but associated"));
                     }
                     (vm, true)
                 }
@@ -2461,6 +2395,20 @@ mod tests {
             mm.set_suspect(page);
         });
         assert!(err.contains("suspect block"), "{err}");
+    }
+
+    #[test]
+    fn audit_catches_a_dirty_frame_still_associated() {
+        let err = audit_error(true, |host, vm| {
+            let mm = &host.vms[vm.index()];
+            let gfn = (0..128)
+                .map(Gfn::new)
+                .find(|&g| mm.ept.translate(g).is_some() && mm.origin.page_for_gfn(g).is_some())
+                .unwrap();
+            let frame = mm.ept.translate(gfn).unwrap();
+            host.frames.set_dirty(frame, true);
+        });
+        assert!(err.contains("is dirty but associated"), "{err}");
     }
 }
 

@@ -57,8 +57,7 @@ pub mod swaparea;
 
 pub use image::ImageStore;
 pub use kernel::{
-    AccessOutcome, CrashExport, HostError, HostKernel, PageResidency, PageState, VmExport,
-    VmMmConfig,
+    AccessOutcome, Detach, HostError, HostKernel, PageResidency, PageState, VmExport, VmMmConfig,
 };
 pub use origin::OriginMap;
 pub use spec::HostSpec;

@@ -7,7 +7,7 @@ use sim_core::{DeterministicRng, SimTime};
 use std::collections::VecDeque;
 use vswap_guestos::swap::GuestSlotInfo;
 use vswap_guestos::{GuestKernel, GuestSpec, GuestSwap, MockHardware, ProcId};
-use vswap_hostos::{HostKernel, HostSpec, SlotInfo, SwapArea, VmMmConfig};
+use vswap_hostos::{Detach, HostKernel, HostSpec, SlotInfo, SwapArea, VmMmConfig};
 use vswap_mem::{
     Backing, ContentLabel, Ept, EptEntry, FrameId, Gfn, IndexList, MemBytes, VmId, Vpn,
 };
@@ -1277,19 +1277,22 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// extract_vm / admit_vm round-trip under injected disk faults
+// detach_vm / admit_vm round-trip under injected disk faults
 // ----------------------------------------------------------------------
 
 /// One round-trip: run a squeezed guest on a faulting source machine,
-/// extract it, admit it onto an (independently faulting) destination,
-/// and require every page the guest counts as live to read back with
-/// the same content signature. Returns the label of the first violated
-/// expectation, or `None` on success.
+/// detach it in `mode`, admit it onto an (independently faulting)
+/// destination, and require every page the guest still counts as live
+/// to read back with its pre-detach content signature. An orderly
+/// detach keeps every live page; a crash may only shed pages it counts
+/// as refaulted. Returns the label of the first violated expectation,
+/// or `None` on success.
 fn fault_round_trip(
     seed: u64,
     scan_mb: u64,
     passes: u32,
     profile: vswap_core::FaultProfile,
+    mode: Detach,
 ) -> Option<String> {
     use vswap_core::workload_api::FileScan;
     use vswap_core::{Machine, MachineConfig, SwapPolicy};
@@ -1334,30 +1337,48 @@ fn fault_round_trip(
         return Some("the guest must end holding live pages".to_owned());
     }
 
-    let grant = src.extract_vm(vm);
+    let grant = src.detach_vm(vm, mode);
+    let refaulted = grant.refaulted_pages();
+    if mode == Detach::Orderly
+        && (refaulted, grant.recovered_pages(), grant.dropped_buffers()) != (0, 0, 0)
+    {
+        return Some(format!("{}: an orderly detach reported crash losses", profile.label()));
+    }
     let arrival = src.now().max(dst.now());
     let vm = dst.admit_vm(grant, arrival).expect("destination fits the VM");
     dst.host().audit().expect("destination invariants hold after admission");
 
+    // Both lists are in gfn order, so a binary search tests membership.
     let after = dst.guest(vm).expected_resident_content();
-    if before != after {
+    if after.iter().any(|page| before.binary_search(page).is_err()) {
         return Some(format!(
-            "{}: the guest's view of its live pages changed in transit",
+            "{} {mode:?}: the guest's view of its live pages changed in transit",
+            profile.label()
+        ));
+    }
+    let left = (before.len() - after.len()) as u64;
+    if left != refaulted {
+        return Some(format!(
+            "{} {mode:?}: {left} pages left the live set but {refaulted} were refaulted",
             profile.label()
         ));
     }
     for &(gfn, label) in &after {
         if dst.host().page_signature(vm.vm_id(), gfn) != Some(label) {
-            return Some(format!("{}: {gfn:?} lost its content crossing hosts", profile.label()));
+            return Some(format!(
+                "{} {mode:?}: {gfn:?} lost its content crossing hosts",
+                profile.label()
+            ));
         }
     }
     None
 }
 
-// The migration hand-off must conserve guest content even when the
-// source disk is actively misbehaving — under `torn` (corrupted
-// multi-sector writes repaired by the journal) and `transient`
-// (retried read/write failures) profiles alike.
+// The hand-off must conserve guest content even when the source disk
+// is actively misbehaving — under `torn` (corrupted multi-sector writes
+// repaired by the journal) and `transient` (retried read/write
+// failures) profiles alike, and whether the VM leaves in an orderly
+// migration or off a crashed host.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
@@ -1368,8 +1389,10 @@ proptest! {
     ) {
         use vswap_core::FaultProfile;
         for profile in [FaultProfile::Torn, FaultProfile::Transient] {
-            let violation = fault_round_trip(seed, scan_mb, passes, profile);
-            prop_assert_eq!(violation, None);
+            for mode in [Detach::Orderly, Detach::Crashed] {
+                let violation = fault_round_trip(seed, scan_mb, passes, profile, mode);
+                prop_assert_eq!(violation, None);
+            }
         }
     }
 }
