@@ -10,7 +10,8 @@
 //! * [`DeterministicRng`] — a seeded random source so every experiment is
 //!   exactly reproducible,
 //! * [`stats`] — counters, gauges, and fixed-bucket histograms used by the
-//!   pathology accounting in `vswap-core`,
+//!   pathology accounting in `vswap-core`, plus [`counters!`], which
+//!   declares each component's counter record and its [`StatSet`] keys,
 //! * [`trace`] — a bounded in-memory event trace for debugging and for the
 //!   time-series figures (e.g. Figure 15 of the paper).
 //!

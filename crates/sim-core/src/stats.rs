@@ -297,6 +297,55 @@ impl Extend<(String, u64)> for StatSet {
     }
 }
 
+/// Declares a counter record: a struct of public `u64` event counts, each
+/// written once with its doc comment, plus a `to_stat_set` method that
+/// renders every counter (zero or not) into a [`StatSet`]. A counter's
+/// report key is the record's `prefix` followed by the field name.
+///
+/// # Examples
+///
+/// ```
+/// sim_core::counters! {
+///     /// Per-device request accounting.
+///     pub struct DeviceStats prefix "dev_" {
+///         /// Requests serviced.
+///         ops,
+///         /// Requests that paid a seek.
+///         seeks,
+///     }
+/// }
+///
+/// let stats = DeviceStats { ops: 3, ..DeviceStats::default() };
+/// let set = stats.to_stat_set();
+/// assert_eq!(set.get("dev_ops"), 3);
+/// assert_eq!(set.len(), 2);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident prefix $prefix:literal {
+            $( $(#[$field_meta:meta])* $field:ident ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $( $(#[$field_meta])* pub $field: u64, )*
+        }
+
+        impl $name {
+            /// Renders the record as a named `StatSet` for reports: every
+            /// counter under its prefixed key, zero-valued ones included.
+            pub fn to_stat_set(&self) -> $crate::StatSet {
+                let mut s = $crate::StatSet::new();
+                $( s.set(concat!($prefix, stringify!($field)), self.$field); )*
+                s
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,6 +441,22 @@ mod tests {
         assert_eq!(a.get("y"), 5);
         assert_eq!(a.get("z"), 4);
         assert_eq!(a.len(), 3);
+    }
+
+    crate::counters! {
+        /// A record with a prefix, for the macro test below.
+        struct Probe prefix "probe_" {
+            /// First counter.
+            hits,
+            /// Second counter.
+            misses,
+        }
+    }
+
+    #[test]
+    fn counters_key_fields_by_prefix_and_keep_zeros() {
+        let set = Probe { misses: 4, ..Probe::default() }.to_stat_set();
+        assert_eq!(set.iter().collect::<Vec<_>>(), [("probe_hits", 0), ("probe_misses", 4)]);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!    [`sim_core::DeterministicRng::fork_labeled`], so a parallel suite run
 //!    injects exactly the same faults as a serial one.
 //! 2. **Merge invariance.** Decisions are per *sector*, not per request:
-//!    splitting or merging a batch of ranges never changes which sectors
-//!    fail (property-tested against `vswap-disk`'s range merger).
+//!    splitting or merging ranges never changes which sectors fail
+//!    (property-tested by splitting a range at a random point).
 //! 3. **Bounded bursts.** Transient failures, timeouts, and torn writes
 //!    only fire while `attempt < max_burst`; a retry budget larger than
 //!    `max_burst` is therefore guaranteed to make forward progress.

@@ -2,7 +2,7 @@
 
 use super::Scale;
 use sim_core::SimDuration;
-use vswap_core::{Machine, MachineConfig, RunReport, SwapPolicy, VmHandle};
+use vswap_core::{Machine, MachineConfig, SwapPolicy, VmHandle};
 use vswap_guestos::GuestSpec;
 use vswap_hostos::HostSpec;
 use vswap_hypervisor::VmSpec;
@@ -76,16 +76,6 @@ pub fn prepare_and_age(m: &mut Machine, vm: VmHandle, file_pages: u64) -> Shared
     m.launch(vm, Box::new(AgeGuest::new()));
     let _ = m.run();
     shared
-}
-
-/// Runtime of the most recent workload on `vm`, in simulated seconds.
-pub fn last_runtime_secs(report: &RunReport, vm: VmHandle) -> f64 {
-    report.vm(vm).runtime_secs()
-}
-
-/// Formats a policy for a table row.
-pub fn row_label(policy: SwapPolicy) -> String {
-    policy.label().to_owned()
 }
 
 /// A paper-vs-measured helper: "who wins" ratios used in assertions.

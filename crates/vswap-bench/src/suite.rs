@@ -98,10 +98,9 @@ impl TaskCtx {
     /// Records a finished run's counter snapshots into the task metrics
     /// under `scope` (`<scope>/host`, `<scope>/disk`, ...).
     pub fn absorb_report(&mut self, scope: &str, report: &RunReport) {
-        self.metrics.absorb_stat_set(&format!("{scope}/host"), &report.host);
-        self.metrics.absorb_stat_set(&format!("{scope}/disk"), &report.disk);
-        self.metrics.absorb_stat_set(&format!("{scope}/mapper"), &report.mapper);
-        self.metrics.absorb_stat_set(&format!("{scope}/preventer"), &report.preventer);
+        for (group, stats) in report.counter_groups() {
+            self.metrics.absorb_stat_set(&format!("{scope}/{group}"), stats);
+        }
     }
 
     /// Folds the attached event logs into the metrics and returns the

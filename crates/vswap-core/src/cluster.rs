@@ -11,9 +11,10 @@
 //!   *effective* free memory (free frames minus pages already promised
 //!   to earlier tenants, [`HostPressure::placement_score`]);
 //! * **pressure-driven migration** — each host's swap rate and free-frame
-//!   fraction feed a debounced [`PressureTracker`]; when pressure is
-//!   sustained, the host's hottest-swapping guest (largest swap-in count
-//!   since the previous poll) is live-migrated to the least-loaded host.
+//!   fraction feed a [`Debounce`]; when pressure is sustained for
+//!   [`SchedulerConfig::sustain_polls`] polls, the host's hottest-swapping
+//!   guest (largest swap-in count since the previous poll) is
+//!   live-migrated to the least-loaded host.
 //!   The migration's cost is fully simulated: pre-copy rounds through
 //!   [`LiveMigration`] on the source (network time, swap readbacks,
 //!   re-dirtying), then the page-state hand-off of
@@ -54,8 +55,8 @@
 //!   attempt budget;
 //! * **degraded → quarantine**: a host whose injected disk-fault rate
 //!   stays above [`SchedulerConfig::fault_rate_watermark`] is excluded
-//!   from placement and migration targets until it recovers
-//!   ([`DegradationTracker`]);
+//!   from placement and migration targets until it recovers (a second
+//!   [`Debounce`]);
 //! * **brown-out → stall**: a browned-out host runs no guest work for
 //!   the window; its work is delayed, never lost.
 //!
@@ -111,7 +112,7 @@ use sim_obs::json::JsonWriter;
 use sim_obs::{Event, LatencyBook, LatencyClass};
 use vswap_disk::{entity_key, ClusterFaultPlan, ClusterFaultProfile};
 use vswap_hostos::Detach;
-use vswap_hypervisor::{DegradationTracker, HostPressure, PressureTracker, RetryPolicy, VmSpec};
+use vswap_hypervisor::{Debounce, HostPressure, RetryPolicy, VmSpec};
 
 /// Identifies one guest across the whole cluster, stable across
 /// migrations (unlike the per-host VM id, which changes on every move).
@@ -135,7 +136,8 @@ pub struct SchedulerConfig {
     pub swap_ops_per_sec_threshold: f64,
     /// Free-DRAM fraction below which a poll counts as pressured.
     pub free_frac_low_watermark: f64,
-    /// Consecutive pressured polls before a migration triggers.
+    /// Consecutive pressured polls before a migration triggers (at
+    /// least 1).
     pub sustain_polls: u32,
     /// Polls a freshly migrated tenant is immune from re-migration
     /// (anti-ping-pong).
@@ -589,10 +591,12 @@ impl ClusterReport {
 struct HostSlot {
     name: String,
     machine: Machine,
-    tracker: PressureTracker,
-    /// Hysteretic detector for a sustained injected-fault rate; a
+    /// Migration trigger: on after `sustain_polls` consecutive pressured
+    /// polls, and reset as soon as it fires.
+    trigger: Debounce,
+    /// Quarantine state, debounced over the injected-fault rate; a
     /// quarantined host takes no new placements or migrants.
-    degradation: DegradationTracker,
+    quarantine: Debounce,
     /// False after the fault plan crashed this host.
     alive: bool,
     /// Actual-memory pages promised to tenants currently placed here.
@@ -667,7 +671,7 @@ impl Cluster {
     /// Returns [`MachineError::Host`] if the host template is
     /// inconsistent, and [`MachineError::Config`] if `host_names` is
     /// empty or contains duplicates, or if the scheduler's
-    /// `poll_interval` is zero.
+    /// `poll_interval` or `sustain_polls` is zero.
     pub fn new(cfg: ClusterConfig) -> Result<Self, MachineError> {
         let mut names = cfg.host_names.clone();
         names.sort();
@@ -681,6 +685,12 @@ impl Cluster {
             // A zero epoch would pin every barrier at time zero forever.
             return Err(MachineError::Config(
                 "the scheduler poll_interval must be positive".into(),
+            ));
+        }
+        if cfg.scheduler.sustain_polls == 0 {
+            // "Sustained" needs at least one pressured poll.
+            return Err(MachineError::Config(
+                "the scheduler sustain_polls must be positive".into(),
             ));
         }
 
@@ -714,13 +724,10 @@ impl Cluster {
             hosts.push(HostSlot {
                 name,
                 machine,
-                tracker: PressureTracker::new(
-                    cfg.scheduler.swap_ops_per_sec_threshold,
-                    cfg.scheduler.free_frac_low_watermark,
-                    cfg.scheduler.sustain_polls,
-                ),
-                degradation: DegradationTracker::new(
-                    cfg.scheduler.fault_rate_watermark,
+                // The trigger is reset whenever it fires, so its off
+                // threshold never applies.
+                trigger: Debounce::new(cfg.scheduler.sustain_polls, 1),
+                quarantine: Debounce::new(
                     cfg.scheduler.quarantine_sustain_polls,
                     cfg.scheduler.quarantine_recover_polls,
                 ),
@@ -750,11 +757,6 @@ impl Cluster {
             abandoned_migrations: 0,
             epoch: 0,
         })
-    }
-
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
     }
 
     /// The host a tenant currently lives on.
@@ -796,7 +798,7 @@ impl Cluster {
         }
         let mut best: Option<(usize, u64)> = None;
         for (i, h) in self.hosts.iter().enumerate() {
-            if !h.alive || h.degradation.is_quarantined() {
+            if !h.alive || h.quarantine.is_on() {
                 continue;
             }
             let score = self.pressure_of(h).placement_score(h.committed_pages);
@@ -977,10 +979,19 @@ impl Cluster {
             let delta = faults.saturating_sub(h.prev_injected_faults);
             h.prev_injected_faults = faults;
             let secs = sample.interval.as_nanos() as f64 / 1e9;
-            if secs > 0.0 && h.degradation.observe(delta as f64 / secs) {
+            if secs > 0.0
+                && h.quarantine.observe(delta as f64 / secs > self.scheduler.fault_rate_watermark)
+            {
                 h.quarantined_polls += 1;
             }
-            if h.tracker.observe(&sample) {
+            let pressured = sample.is_pressured(
+                self.scheduler.swap_ops_per_sec_threshold,
+                self.scheduler.free_frac_low_watermark,
+            );
+            if h.trigger.observe(pressured) {
+                // Firing consumes the streak: the next migration off this
+                // host needs a fresh run of pressured polls.
+                h.trigger.reset();
                 triggered.push(i);
             }
         }
@@ -1047,7 +1058,7 @@ impl Cluster {
         let src_free = self.hosts[src].machine.host().free_frames();
         let mut dst: Option<(usize, u64)> = None;
         for (i, h) in self.hosts.iter().enumerate() {
-            if i == src || !h.alive || h.degradation.is_quarantined() {
+            if i == src || !h.alive || h.quarantine.is_on() {
                 continue;
             }
             let free = h.machine.host().free_frames();
@@ -1115,7 +1126,6 @@ impl Cluster {
         self.rehome(ti, src, dst, grant, mig.downtime + flush);
         self.hosts[src].migrations_out += 1;
         self.hosts[dst].migrations_in += 1;
-        self.hosts[src].tracker.reset();
         self.migrations.push(MigrationRecord {
             tenant: self.tenants[ti].name.clone(),
             from: self.hosts[src].name.clone(),
@@ -1182,7 +1192,7 @@ impl Cluster {
                     if i == src || !h.alive || !fits(i) {
                         continue;
                     }
-                    if h.degradation.is_quarantined() != quarantined_ok {
+                    if h.quarantine.is_on() != quarantined_ok {
                         continue;
                     }
                     if pick.map_or(true, |(_, best)| frames_free[i] > best) {
@@ -1322,6 +1332,16 @@ mod tests {
         let err = Cluster::new(cfg).unwrap_err();
         assert!(matches!(err, MachineError::Config(_)), "got {err:?}");
         assert!(err.to_string().contains("poll_interval"), "{err}");
+    }
+
+    #[test]
+    fn zero_sustain_polls_is_a_typed_config_error() {
+        let machine = MachineConfig::preset(SwapPolicy::Vswapper).with_host(small_host());
+        let mut cfg = ClusterConfig::homogeneous(2, machine);
+        cfg.scheduler.sustain_polls = 0;
+        let err = Cluster::new(cfg).unwrap_err();
+        assert!(matches!(err, MachineError::Config(_)), "got {err:?}");
+        assert!(err.to_string().contains("sustain_polls"), "{err}");
     }
 
     #[test]

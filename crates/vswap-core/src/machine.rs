@@ -9,7 +9,7 @@ use crate::config::{Ballooning, MachineConfig};
 use crate::mapper::SwapMapper;
 use crate::preventer::FalseReadsPreventer;
 use crate::report::{RunReport, VmReport};
-use sim_core::{Clock, DeterministicRng, SimDuration, SimTime, Trace};
+use sim_core::{Clock, DeterministicRng, SimDuration, SimTime, StatSet, Trace};
 use sim_obs::{Event, EventLog, LatencyHub, MetricsRegistry, Profiler, TimeCategory};
 use std::error::Error;
 use std::fmt;
@@ -571,39 +571,31 @@ impl Machine {
 
     /// Builds the cumulative report for everything run so far.
     pub fn report(&self) -> RunReport {
-        let mut vms = Vec::new();
-        for entry in &self.vms {
-            vms.extend(entry.history.iter().cloned());
-        }
+        let mut report = RunReport {
+            ended_at: self.clock.now(),
+            workloads: self.vms.iter().flat_map(|e| e.history.iter().cloned()).collect(),
+            host: self.host.stats().to_stat_set(),
+            disk: self.host.disk_stats().to_stat_set(),
+            mapper: self.mapper.stats().to_stat_set(),
+            preventer: self.preventer.stats().to_stat_set(),
+            trace: self.trace.clone(),
+            metrics: StatSet::new(),
+            profile: self.profiler.clone(),
+            latency: self.latency.snapshot(),
+            events_dropped: self.events.dropped(),
+        };
         let mut metrics = self.metrics.clone();
-        metrics.absorb_stat_set("host", &self.host.stats().to_stat_set());
-        metrics.absorb_stat_set("disk", &disk_stat_set(self.host.disk_stats()));
-        metrics.absorb_stat_set("mapper", &self.mapper.stats().to_stat_set());
-        metrics.absorb_stat_set("preventer", &self.preventer.stats().to_stat_set());
-        RunReport::new(
-            self.clock.now(),
-            vms,
-            self.host.stats().to_stat_set(),
-            disk_stat_set(self.host.disk_stats()),
-            self.mapper.stats().to_stat_set(),
-            self.preventer.stats().to_stat_set(),
-            self.trace.clone(),
-            metrics.flatten(),
-            self.profiler.clone(),
-            self.latency.snapshot(),
-            self.events.dropped(),
-        )
+        for (scope, stats) in report.counter_groups() {
+            metrics.absorb_stat_set(scope, stats);
+        }
+        report.metrics = metrics.flatten();
+        report
     }
 
     /// Charges externally imposed downtime (a live-migration pause) to
     /// the VM's simulated-time profile, keeping its attribution complete.
     pub fn note_migration_stall(&mut self, vm: VmId, duration: SimDuration) {
         self.profiler.add(vm.get(), TimeCategory::MigrationStall, duration);
-    }
-
-    /// Handles of every VM currently on this machine, in admission order.
-    pub fn vm_handles(&self) -> Vec<VmHandle> {
-        self.vms.iter().map(|e| VmHandle(e.id)).collect()
     }
 
     /// True while any VM still has a schedulable workload. Unlike
@@ -729,7 +721,7 @@ impl Machine {
             // baseline forward so "recent" keeps meaning "since the
             // previous step", exactly as a full poll would.
             for e in &mut self.vms {
-                e.prev_guest_swap_outs = e.guest.stats().guest_swap_outs;
+                e.prev_guest_swap_outs = e.guest.stats().swap_outs;
             }
             return;
         }
@@ -745,13 +737,13 @@ impl Machine {
                 recent_guest_swap_outs: e
                     .guest
                     .stats()
-                    .guest_swap_outs
+                    .swap_outs
                     .saturating_sub(e.prev_guest_swap_outs),
             })
             .collect();
         let targets = manager.poll(now, free_frac, &telemetry);
         for e in &mut self.vms {
-            e.prev_guest_swap_outs = e.guest.stats().guest_swap_outs;
+            e.prev_guest_swap_outs = e.guest.stats().swap_outs;
         }
         for target in targets {
             let idx = self
@@ -857,31 +849,6 @@ fn effective_elapsed(
     let overlap = (1.0 + 0.5 * (vcpus.min(8) - 1) as f64).min(4.0);
     let cpu = elapsed.saturating_sub(stall);
     cpu + SimDuration::from_nanos((stall.as_nanos() as f64 / overlap) as u64)
-}
-
-fn disk_stat_set(stats: &vswap_disk::DiskStats) -> sim_core::StatSet {
-    let mut s = sim_core::StatSet::new();
-    s.set("disk_ops", stats.ops);
-    s.set("disk_read_ops", stats.read_ops);
-    s.set("disk_write_ops", stats.write_ops);
-    s.set("disk_sectors_read", stats.sectors_read);
-    s.set("disk_sectors_written", stats.sectors_written);
-    s.set("disk_sequential_ops", stats.sequential_ops);
-    s.set("disk_seeks", stats.seeks);
-    s.set("disk_swap_sectors_read", stats.swap_sectors_read);
-    s.set("disk_swap_sectors_written", stats.swap_sectors_written);
-    s.set("disk_swap_read_ops", stats.swap_read_ops);
-    s.set("disk_swap_read_seeks", stats.swap_read_seeks);
-    s.set("disk_swap_write_ops", stats.swap_write_ops);
-    s.set("disk_busy_ns", stats.busy.as_nanos());
-    s.set("disk_doorbells", stats.doorbells);
-    s.set("disk_ooo_completions", stats.ooo_completions);
-    s.set("disk_max_inflight", stats.max_inflight);
-    s.set("disk_injected_faults", stats.injected_faults);
-    s.set("disk_io_retries", stats.io_retries);
-    s.set("disk_timed_out_requests", stats.timed_out_requests);
-    s.set("disk_torn_writes", stats.torn_writes);
-    s
 }
 
 // ----------------------------------------------------------------------

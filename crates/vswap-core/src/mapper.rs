@@ -10,35 +10,24 @@
 //! keeps the Mapper's own accounting (tracked pages for Figure 15,
 //! unaligned fallbacks for the Windows experiments of §5.4).
 
-use sim_core::{SimDuration, SimTime, StatSet};
+use sim_core::{SimDuration, SimTime};
 use sim_obs::{Event, EventLog};
 use vswap_hostos::HostKernel;
 use vswap_mem::{Gfn, VmId};
 
-/// Cumulative Mapper accounting.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MapperStats {
-    /// Aligned virtual-disk reads served through the mmap path.
-    pub mapped_reads: u64,
-    /// Aligned virtual-disk writes (association established after the
-    /// write, §4.1 "Guest I/O Flow").
-    pub mapped_writes: u64,
-    /// Requests that fell back to the plain path because they were not
-    /// 4 KiB aligned.
-    pub unaligned_fallbacks: u64,
-    /// High-water mark of concurrently tracked pages.
-    pub tracked_high_water: u64,
-}
-
-impl MapperStats {
-    /// Renders the record as a named [`StatSet`] for reports.
-    pub fn to_stat_set(&self) -> StatSet {
-        let mut s = StatSet::new();
-        s.set("mapper_mapped_reads", self.mapped_reads);
-        s.set("mapper_mapped_writes", self.mapped_writes);
-        s.set("mapper_unaligned_fallbacks", self.unaligned_fallbacks);
-        s.set("mapper_tracked_high_water", self.tracked_high_water);
-        s
+sim_core::counters! {
+    /// Cumulative Mapper accounting, reported as `mapper_<field>`.
+    pub struct MapperStats prefix "mapper_" {
+        /// Aligned virtual-disk reads served through the mmap path.
+        mapped_reads,
+        /// Aligned virtual-disk writes (association established after the
+        /// write, §4.1 "Guest I/O Flow").
+        mapped_writes,
+        /// Requests that fell back to the plain path because they were not
+        /// 4 KiB aligned.
+        unaligned_fallbacks,
+        /// High-water mark of concurrently tracked pages.
+        tracked_high_water,
     }
 }
 

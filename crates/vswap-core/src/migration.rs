@@ -48,11 +48,6 @@ impl NetSpec {
         NetSpec { bandwidth_bytes_per_sec: 110_000_000, per_page_overhead_bytes: 48 }
     }
 
-    /// A 10 Gb/s link.
-    pub fn ten_gigabit() -> Self {
-        NetSpec { bandwidth_bytes_per_sec: 1_100_000_000, per_page_overhead_bytes: 48 }
-    }
-
     /// Time to transfer `bytes` over the link.
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 / self.bandwidth_bytes_per_sec as f64)

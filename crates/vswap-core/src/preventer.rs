@@ -14,7 +14,7 @@
 //!   concurrent emulations), the old content is fetched and **merged**
 //!   with the buffered bytes.
 
-use sim_core::{SimDuration, SimTime, StatSet};
+use sim_core::{SimDuration, SimTime};
 use sim_obs::{Event, EventLog, FlushCause, LatencyClass, LatencyHub};
 use vswap_hostos::HostKernel;
 use vswap_mem::{Backing, ContentLabel, FrameId, Gfn, VmId};
@@ -45,39 +45,25 @@ impl Default for PreventerConfig {
     }
 }
 
-/// Cumulative Preventer accounting.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PreventerStats {
-    /// Emulations opened (a write to a swapped-out page was trapped).
-    pub buffers_opened: u64,
-    /// Buffers that became the guest page without any disk read — false
-    /// reads eliminated (the "preventer remaps" of Figure 12b).
-    pub remaps: u64,
-    /// Buffers that needed the old content fetched and merged.
-    pub merges: u64,
-    /// Merges forced by the 1 ms timeout.
-    pub timeouts: u64,
-    /// Merges forced by the concurrent-page cap.
-    pub capacity_evictions: u64,
-    /// Merges forced by a guest read of unbuffered data.
-    pub read_merges: u64,
-    /// Emulations cancelled without promotion (page released under the
-    /// emulation, e.g. by the balloon).
-    pub cancelled: u64,
-}
-
-impl PreventerStats {
-    /// Renders the record as a named [`StatSet`] for reports.
-    pub fn to_stat_set(&self) -> StatSet {
-        let mut s = StatSet::new();
-        s.set("preventer_buffers_opened", self.buffers_opened);
-        s.set("preventer_remaps", self.remaps);
-        s.set("preventer_merges", self.merges);
-        s.set("preventer_timeouts", self.timeouts);
-        s.set("preventer_capacity_evictions", self.capacity_evictions);
-        s.set("preventer_read_merges", self.read_merges);
-        s.set("preventer_cancelled", self.cancelled);
-        s
+sim_core::counters! {
+    /// Cumulative Preventer accounting, reported as `preventer_<field>`.
+    pub struct PreventerStats prefix "preventer_" {
+        /// Emulations opened (a write to a swapped-out page was trapped).
+        buffers_opened,
+        /// Buffers that became the guest page without any disk read — false
+        /// reads eliminated (the "preventer remaps" of Figure 12b).
+        remaps,
+        /// Buffers that needed the old content fetched and merged.
+        merges,
+        /// Merges forced by the 1 ms timeout.
+        timeouts,
+        /// Merges forced by the concurrent-page cap.
+        capacity_evictions,
+        /// Merges forced by a guest read of unbuffered data.
+        read_merges,
+        /// Emulations cancelled without promotion (page released under the
+        /// emulation, e.g. by the balloon).
+        cancelled,
     }
 }
 

@@ -81,33 +81,15 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        ended_at: SimTime,
-        workloads: Vec<VmReport>,
-        host: StatSet,
-        disk: StatSet,
-        mapper: StatSet,
-        preventer: StatSet,
-        trace: Trace,
-        metrics: StatSet,
-        profile: Profiler,
-        latency: LatencyBook,
-        events_dropped: u64,
-    ) -> Self {
-        RunReport {
-            ended_at,
-            workloads,
-            host,
-            disk,
-            mapper,
-            preventer,
-            trace,
-            metrics,
-            profile,
-            latency,
-            events_dropped,
-        }
+    /// The four machine-wide counter groups, each with the key it is
+    /// reported under (JSON object, metrics scope).
+    pub fn counter_groups(&self) -> [(&'static str, &StatSet); 4] {
+        [
+            ("host", &self.host),
+            ("disk", &self.disk),
+            ("mapper", &self.mapper),
+            ("preventer", &self.preventer),
+        ]
     }
 
     /// The most recent workload record for a VM.
@@ -180,10 +162,9 @@ impl RunReport {
             w.end_object();
         }
         w.end_array();
-        stat_object(&mut w, "host", &self.host);
-        stat_object(&mut w, "disk", &self.disk);
-        stat_object(&mut w, "mapper", &self.mapper);
-        stat_object(&mut w, "preventer", &self.preventer);
+        for (key, stats) in self.counter_groups() {
+            stat_object(&mut w, key, stats);
+        }
         stat_object(&mut w, "metrics", &self.metrics);
         w.key("latency");
         self.latency.write_json(&mut w);
@@ -264,6 +245,23 @@ mod tests {
         }
     }
 
+    /// A report carrying only what these tests look at.
+    fn report(ended_at_ns: u64, workloads: Vec<VmReport>, host: StatSet) -> RunReport {
+        RunReport {
+            ended_at: SimTime::from_nanos(ended_at_ns),
+            workloads,
+            host,
+            disk: StatSet::new(),
+            mapper: StatSet::new(),
+            preventer: StatSet::new(),
+            trace: Trace::default(),
+            metrics: StatSet::new(),
+            profile: Profiler::new(),
+            latency: LatencyBook::new(),
+            events_dropped: 0,
+        }
+    }
+
     #[test]
     fn runtime_and_completion() {
         let r = record(0, 1_000, Some(3_000), false);
@@ -277,18 +275,10 @@ mod tests {
     fn display_summarizes_workloads_and_counters() {
         let mut host = StatSet::new();
         host.set("swap_outs", 7);
-        let report = RunReport::new(
-            SimTime::from_nanos(5_000_000_000),
+        let report = report(
+            5_000_000_000,
             vec![record(0, 0, Some(2_000_000_000), false), record(1, 0, Some(1_000), true)],
             host,
-            StatSet::new(),
-            StatSet::new(),
-            StatSet::new(),
-            Trace::default(),
-            StatSet::new(),
-            Profiler::new(),
-            LatencyBook::new(),
-            0,
         );
         let s = report.to_string();
         assert!(s.contains("vm0"));
@@ -300,22 +290,14 @@ mod tests {
 
     #[test]
     fn mean_runtime_skips_killed() {
-        let report = RunReport::new(
-            SimTime::from_nanos(10_000),
+        let report = report(
+            10_000,
             vec![
                 record(0, 0, Some(2_000_000_000), false),
                 record(1, 0, Some(4_000_000_000), false),
                 record(2, 0, Some(1_000), true),
             ],
             StatSet::new(),
-            StatSet::new(),
-            StatSet::new(),
-            StatSet::new(),
-            Trace::default(),
-            StatSet::new(),
-            Profiler::new(),
-            LatencyBook::new(),
-            0,
         );
         let mean = report.mean_runtime_secs().unwrap();
         assert!((mean - 3.0).abs() < 1e-9);
@@ -331,19 +313,10 @@ mod tests {
         profile.add(0, TimeCategory::DiskWait, SimDuration::from_nanos(12));
         let mut killed = record(1, 0, Some(1_000), true);
         killed.workload = "alloc \"big\"".to_owned();
-        let report = RunReport::new(
-            SimTime::from_nanos(5_000),
-            vec![record(0, 0, Some(2_000), false), killed],
-            host,
-            StatSet::new(),
-            StatSet::new(),
-            StatSet::new(),
-            Trace::default(),
-            StatSet::new(),
+        let report = RunReport {
             profile,
-            LatencyBook::new(),
-            0,
-        );
+            ..report(5_000, vec![record(0, 0, Some(2_000), false), killed], host)
+        };
         let json = report.to_json();
         assert!(json.contains("\"ended_at_ns\":5000"));
         assert!(json.contains("\"workloads\":["));

@@ -5,9 +5,6 @@ use sim_core::SimDuration;
 /// Why a request failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IoErrorKind {
-    /// `submit_batch` was called with no ranges — a caller bug surfaced
-    /// as a typed error rather than a panic.
-    EmptyBatch,
     /// The request touched a permanently bad sector; retrying the same
     /// sectors can never succeed.
     Latent,
@@ -36,7 +33,7 @@ impl IoErrorKind {
 pub struct IoError {
     /// How the request failed.
     pub kind: IoErrorKind,
-    /// The first faulting sector (0 for [`IoErrorKind::EmptyBatch`]).
+    /// The first faulting sector.
     pub sector: u64,
     /// Simulated time the failed attempt occupied the device.
     pub wasted: SimDuration,
@@ -52,7 +49,6 @@ impl IoError {
 impl std::fmt::Display for IoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.kind {
-            IoErrorKind::EmptyBatch => write!(f, "empty batch submitted"),
             IoErrorKind::Latent => write!(f, "latent media error at sector {}", self.sector),
             IoErrorKind::Transient => write!(f, "transient I/O error at sector {}", self.sector),
             IoErrorKind::Timeout => write!(f, "request timed out at sector {}", self.sector),
@@ -71,7 +67,6 @@ mod tests {
 
     #[test]
     fn retryability_follows_the_kind() {
-        assert!(!IoErrorKind::EmptyBatch.is_retryable());
         assert!(!IoErrorKind::Latent.is_retryable());
         assert!(IoErrorKind::Transient.is_retryable());
         assert!(IoErrorKind::Timeout.is_retryable());

@@ -52,7 +52,7 @@ pub mod spec;
 pub use error::{IoError, IoErrorKind};
 pub use geometry::{SectorAddr, SectorRange, PAGE_SECTORS, PAGE_SIZE, SECTOR_SIZE};
 pub use layout::{DiskLayout, DiskRegion, LayoutError};
-pub use model::{merge_ranges, CompletedIo, DiskModel, DiskStats, IoKind, IoTag};
+pub use model::{CompletedIo, DiskModel, DiskStats, IoKind, IoTag};
 pub use sim_fault::{
     entity_key, ClusterFaultConfig, ClusterFaultPlan, ClusterFaultProfile, FaultConfig, FaultKind,
     FaultPlan, FaultProfile, InjectedFault, LinkFault,

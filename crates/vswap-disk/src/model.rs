@@ -131,54 +131,55 @@ impl IoQueue {
     }
 }
 
-/// Cumulative request accounting, overall and per [`IoTag`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DiskStats {
-    /// Total requests serviced.
-    pub ops: u64,
-    /// Read requests serviced.
-    pub read_ops: u64,
-    /// Write requests serviced.
-    pub write_ops: u64,
-    /// Sectors read.
-    pub sectors_read: u64,
-    /// Sectors written.
-    pub sectors_written: u64,
-    /// Requests that streamed without repositioning.
-    pub sequential_ops: u64,
-    /// Requests that paid a seek.
-    pub seeks: u64,
-    /// Sectors read from the host swap area.
-    pub swap_sectors_read: u64,
-    /// Sectors written to the host swap area.
-    pub swap_sectors_written: u64,
-    /// Read requests against the host swap area.
-    pub swap_read_ops: u64,
-    /// Swap-area read requests that paid a seek — scattered slot content,
-    /// the decayed-sequentiality signal.
-    pub swap_read_seeks: u64,
-    /// Write requests against the host swap area.
-    pub swap_write_ops: u64,
-    /// Total time the device spent busy.
-    pub busy: SimDuration,
-    /// Requests failed by the fault plan (all kinds).
-    pub injected_faults: u64,
-    /// Requests resubmitted after a failure (`attempt > 0`).
-    pub io_retries: u64,
-    /// Requests aborted for exceeding their service deadline.
-    pub timed_out_requests: u64,
-    /// Multi-sector writes that tore partway.
-    pub torn_writes: u64,
-    /// Doorbell rings: one per submission, but a batch rings once for
-    /// all its merged ranges.
-    pub doorbells: u64,
-    /// Completions that landed before an earlier-submitted command
-    /// still in flight finished — out-of-order completion, only possible
-    /// with multiple queues or depth > 1.
-    pub ooo_completions: u64,
-    /// High-water mark of commands concurrently in service across all
-    /// queues (1 on a single-queue depth-1 device).
-    pub max_inflight: u64,
+sim_core::counters! {
+    /// Cumulative request accounting, overall and per [`IoTag`], reported
+    /// as `disk_<field>`.
+    pub struct DiskStats prefix "disk_" {
+        /// Total requests serviced.
+        ops,
+        /// Read requests serviced.
+        read_ops,
+        /// Write requests serviced.
+        write_ops,
+        /// Sectors read.
+        sectors_read,
+        /// Sectors written.
+        sectors_written,
+        /// Requests that streamed without repositioning.
+        sequential_ops,
+        /// Requests that paid a seek.
+        seeks,
+        /// Sectors read from the host swap area.
+        swap_sectors_read,
+        /// Sectors written to the host swap area.
+        swap_sectors_written,
+        /// Read requests against the host swap area.
+        swap_read_ops,
+        /// Swap-area read requests that paid a seek — scattered slot
+        /// content, the decayed-sequentiality signal.
+        swap_read_seeks,
+        /// Write requests against the host swap area.
+        swap_write_ops,
+        /// Total time the device spent busy, in simulated nanoseconds.
+        busy_ns,
+        /// Requests failed by the fault plan (all kinds).
+        injected_faults,
+        /// Requests resubmitted after a failure (`attempt > 0`).
+        io_retries,
+        /// Requests aborted for exceeding their service deadline.
+        timed_out_requests,
+        /// Multi-sector writes that tore partway.
+        torn_writes,
+        /// Doorbell rings: one per submission.
+        doorbells,
+        /// Completions that landed before an earlier-submitted command
+        /// still in flight finished — out-of-order completion, only
+        /// possible with multiple queues or depth > 1.
+        ooo_completions,
+        /// High-water mark of commands concurrently in service across all
+        /// queues (1 on a single-queue depth-1 device).
+        max_inflight,
+    }
 }
 
 /// A single shared block device with a multi-queue asynchronous
@@ -371,23 +372,10 @@ impl DiskModel {
         tag: IoTag,
         attempt: u32,
     ) -> Result<CompletedIo, IoError> {
-        self.stats.doorbells += 1;
-        self.submit_ringed(now, kind, range, tag, attempt)
-    }
-
-    /// [`DiskModel::submit_attempt`] minus the doorbell: batch
-    /// submission rings once for all its ranges.
-    fn submit_ringed(
-        &mut self,
-        now: SimTime,
-        kind: IoKind,
-        range: SectorRange,
-        tag: IoTag,
-        attempt: u32,
-    ) -> Result<CompletedIo, IoError> {
         if attempt > 0 {
             self.stats.io_retries += 1;
         }
+        self.stats.doorbells += 1;
         let qi = self.pick_queue(now);
         self.events.emit_with(now, None, || Event::DiskIssue {
             dir: io_dir(kind),
@@ -413,7 +401,7 @@ impl DiskModel {
 
         let sequential = gap.is_none();
         self.stats.ops += 1;
-        self.stats.busy += service;
+        self.stats.busy_ns += service.as_nanos();
         if sequential {
             self.stats.sequential_ops += 1;
         } else {
@@ -490,7 +478,7 @@ impl DiskModel {
         let finished = started + service;
         self.queues[qi].inflight.push(finished);
         self.busy_until = self.busy_until.max(finished);
-        self.stats.busy += service;
+        self.stats.busy_ns += service.as_nanos();
         self.stats.injected_faults += 1;
         let error_kind = match fault.kind {
             FaultKind::Latent => IoErrorKind::Latent,
@@ -581,7 +569,7 @@ impl DiskModel {
         let finished = started + service;
         self.complete(qi, started, finished);
         self.stats.ops += 1;
-        self.stats.busy += service;
+        self.stats.busy_ns += service.as_nanos();
         self.stats.sequential_ops += 1;
         self.stats.write_ops += 1;
         self.stats.sectors_written += range.len();
@@ -600,73 +588,11 @@ impl DiskModel {
         });
         Ok(CompletedIo { started, finished, latency: finished - now, sequential: true })
     }
-
-    /// Submits a batch of ranges as one logical operation (e.g. a readahead
-    /// window). Contiguous ranges are merged so a well-clustered batch pays
-    /// a single positioning cost, and the whole batch rings the doorbell
-    /// once. Returns the completion of the whole batch.
-    ///
-    /// # Errors
-    ///
-    /// An empty batch is an [`IoErrorKind::EmptyBatch`] error. With a fault
-    /// plan installed, the batch fails at the first faulting merged range
-    /// (already-serviced earlier ranges keep their effects).
-    pub fn submit_batch(
-        &mut self,
-        now: SimTime,
-        kind: IoKind,
-        ranges: &[SectorRange],
-        tag: IoTag,
-    ) -> Result<CompletedIo, IoError> {
-        if ranges.is_empty() {
-            return Err(IoError {
-                kind: IoErrorKind::EmptyBatch,
-                sector: 0,
-                wasted: SimDuration::ZERO,
-            });
-        }
-        self.stats.doorbells += 1;
-        let merged = merge_ranges(ranges);
-        let mut last: Option<CompletedIo> = None;
-        for range in merged {
-            let completed = self.submit_ringed(now, kind, range, tag, 0)?;
-            last = Some(match last {
-                None => completed,
-                Some(prev) => CompletedIo {
-                    started: prev.started,
-                    finished: completed.finished,
-                    latency: completed.finished - now,
-                    sequential: prev.sequential && completed.sequential,
-                },
-            });
-        }
-        Ok(last.expect("batch was non-empty"))
-    }
-}
-
-/// Sorts and merges overlapping/abutting ranges into maximal runs.
-/// Public so fault-plan property tests can check that merging never
-/// changes which sectors fail.
-pub fn merge_ranges(ranges: &[SectorRange]) -> Vec<SectorRange> {
-    let mut sorted: Vec<SectorRange> = ranges.to_vec();
-    sorted.sort_by_key(|r| r.start());
-    let mut out: Vec<SectorRange> = Vec::with_capacity(sorted.len());
-    for r in sorted {
-        match out.last_mut() {
-            Some(last) if last.end() >= r.start() => {
-                let end = last.end().max(r.end());
-                *last = SectorRange::new(last.start(), end - last.start());
-            }
-            _ => out.push(r),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::PAGE_SECTORS;
     use sim_fault::FaultConfig;
 
     fn disk() -> DiskModel {
@@ -723,40 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_merges_contiguous_pages() {
-        let mut d = disk();
-        let ranges: Vec<SectorRange> = (0..4).map(|p| SectorRange::for_page(0, p)).collect();
-        let io = ok(d.submit_batch(SimTime::ZERO, IoKind::Read, &ranges, IoTag::GuestImage));
-        // One merged request: one op, one seek.
-        assert_eq!(d.stats().ops, 1);
-        assert_eq!(d.stats().sectors_read, 4 * PAGE_SECTORS);
-        assert!(io.finished > io.started);
-    }
-
-    #[test]
-    fn batch_scattered_pages_pay_multiple_seeks() {
-        let mut d = disk();
-        let ranges = vec![
-            SectorRange::for_page(0, 0),
-            SectorRange::for_page(1 << 20, 0),
-            SectorRange::for_page(1 << 24, 0),
-        ];
-        ok(d.submit_batch(SimTime::ZERO, IoKind::Read, &ranges, IoTag::HostSwap));
-        assert_eq!(d.stats().ops, 3);
-        assert_eq!(d.stats().seeks, 3);
-    }
-
-    #[test]
-    fn merge_ranges_handles_overlap_and_order() {
-        let merged = merge_ranges(&[
-            SectorRange::new(16, 8),
-            SectorRange::new(0, 8),
-            SectorRange::new(8, 10),
-        ]);
-        assert_eq!(merged, vec![SectorRange::new(0, 24)]);
-    }
-
-    #[test]
     fn reset_stats_keeps_head() {
         let mut d = disk();
         let a =
@@ -765,15 +657,6 @@ mod tests {
         assert_eq!(d.stats().ops, 0);
         let b = ok(d.submit(a.finished, IoKind::Read, SectorRange::new(8, 8), IoTag::GuestImage));
         assert!(b.sequential, "head position survives stats reset");
-    }
-
-    #[test]
-    fn empty_batch_is_a_typed_error() {
-        let err = disk()
-            .submit_batch(SimTime::ZERO, IoKind::Read, &[], IoTag::GuestImage)
-            .expect_err("empty batch must fail");
-        assert_eq!(err.kind, IoErrorKind::EmptyBatch);
-        assert!(!err.is_retryable());
     }
 
     /// Every sector in [0, n) permanently bad.
@@ -978,14 +861,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_rings_one_doorbell() {
+    fn each_submission_rings_one_doorbell() {
         let mut d = disk();
-        let ranges: Vec<SectorRange> = (0..4).map(|p| SectorRange::for_page(0, p)).collect();
-        ok(d.submit_batch(SimTime::ZERO, IoKind::Read, &ranges, IoTag::GuestImage));
-        assert_eq!(d.stats().doorbells, 1, "a batch is one doorbell");
         ok(d.submit(d.busy_until(), IoKind::Read, SectorRange::new(1 << 20, 8), IoTag::HostSwap));
         ok(d.submit_writeback(d.busy_until(), SectorRange::new(1 << 21, 8), IoTag::HostSwap));
-        assert_eq!(d.stats().doorbells, 3);
+        assert_eq!(d.stats().doorbells, 2);
     }
 
     #[test]

@@ -327,7 +327,7 @@ impl GuestKernel {
             swap: GuestSwap::new(0, swap_pages),
             balloon: Vec::new(),
             rng: DeterministicRng::seed_from(seed),
-            stats: GuestStats::new(),
+            stats: GuestStats::default(),
             balloon_swap_score: 0,
             op_counter: 0,
             kernel_touch_cursor: 0,
@@ -919,7 +919,7 @@ impl GuestKernel {
             return false;
         };
         hw.disk_write_behind(&[gfn], self.swap.image_page(slot), true);
-        self.stats.guest_swap_outs += 1;
+        self.stats.swap_outs += 1;
         hw.observe(sim_obs::Event::GuestSwapOut { pages: 1 });
         self.processes[proc.index()].pages[vpn.index()] = AnonPage::Swapped { slot, label };
         self.anon_lru.remove(idx);
@@ -977,10 +977,10 @@ impl GuestKernel {
             debug_assert_eq!(hw.image_label(self.swap.image_page(s)), info.label);
             self.install_anon_page(gfn, info.proc, info.vpn, info.label);
             self.swap.free(s);
-            self.stats.guest_swap_ins += 1;
+            self.stats.swap_ins += 1;
             loaded += 1;
             if s != slot {
-                self.stats.guest_swap_readahead += 1;
+                self.stats.swap_readahead += 1;
             }
         }
         self.swapin_scratch = window;
@@ -1289,12 +1289,12 @@ mod tests {
         for i in 0..300 {
             g.touch_anon(&mut hw, p, base.offset(i), true).unwrap();
         }
-        assert!(g.stats().guest_swap_outs > 0, "working set exceeds memory");
+        assert!(g.stats().swap_outs > 0, "working set exceeds memory");
         assert!(g.is_alive(p), "swap absorbs the overcommit");
         // Touch an early page: swap-in with readahead.
         g.touch_anon(&mut hw, p, base, false).unwrap();
-        assert!(g.stats().guest_swap_ins > 0);
-        assert!(g.stats().guest_swap_readahead > 0);
+        assert!(g.stats().swap_ins > 0);
+        assert!(g.stats().swap_readahead > 0);
         g.audit().unwrap();
     }
 
@@ -1306,14 +1306,14 @@ mod tests {
         for i in 0..300 {
             g.touch_anon(&mut hw, p, base.offset(i), true).unwrap();
         }
-        let swap_ins = g.stats().guest_swap_ins;
+        let swap_ins = g.stats().swap_ins;
         // Find a guest-swapped page and overwrite it wholesale.
         let victim = (0..300)
             .map(|i| base.offset(i))
             .find(|v| matches!(g.processes[p.index()].pages[v.index()], AnonPage::Swapped { .. }))
             .expect("something guest-swapped");
         g.overwrite_anon(&mut hw, p, victim).unwrap();
-        assert_eq!(g.stats().guest_swap_ins, swap_ins, "old content must not be read");
+        assert_eq!(g.stats().swap_ins, swap_ins, "old content must not be read");
         g.audit().unwrap();
     }
 
@@ -1516,7 +1516,7 @@ mod thrash_tests {
             g.touch_anon(&mut hw, p, base.offset(i), true).unwrap();
         }
         assert_eq!(g.stats().oom_kills, 0, "without a balloon the guard never fires");
-        assert!(g.stats().guest_swap_outs > 0);
+        assert!(g.stats().swap_outs > 0);
         g.audit().unwrap();
     }
 

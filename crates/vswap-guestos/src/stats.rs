@@ -1,60 +1,35 @@
 //! Guest kernel event counters.
 
-use sim_core::StatSet;
-
-/// Cumulative guest-kernel event counts.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GuestStats {
-    /// File reads satisfied from the guest page cache.
-    pub cache_hits: u64,
-    /// File reads that missed the cache and required virtual-disk I/O.
-    pub cache_misses: u64,
-    /// Pages read beyond the missing one by guest file readahead.
-    pub readahead_pages: u64,
-    /// Dirty cache pages written back to the virtual disk.
-    pub writebacks: u64,
-    /// Clean cache pages dropped by guest reclaim (no I/O, no host
-    /// notification — the silent drop behind stale/false reads).
-    pub dropped_clean: u64,
-    /// Anonymous pages the guest swapped out to its own swap partition.
-    pub guest_swap_outs: u64,
-    /// Anonymous pages the guest swapped back in.
-    pub guest_swap_ins: u64,
-    /// Pages brought in by guest swap readahead beyond the faulting page.
-    pub guest_swap_readahead: u64,
-    /// Guest direct-reclaim passes.
-    pub reclaim_runs: u64,
-    /// Processes killed by the guest OOM killer (over-ballooning, §2.4).
-    pub oom_kills: u64,
-    /// Pages currently pinned by the balloon.
-    pub balloon_pages: u64,
-    /// Anonymous pages zeroed on first touch or reuse (full-page
-    /// overwrites — the false-read trigger).
-    pub pages_zeroed: u64,
-}
-
-impl GuestStats {
-    /// Creates a zeroed record.
-    pub fn new() -> Self {
-        GuestStats::default()
-    }
-
-    /// Renders the record as a named [`StatSet`] for reports.
-    pub fn to_stat_set(&self) -> StatSet {
-        let mut s = StatSet::new();
-        s.set("guest_cache_hits", self.cache_hits);
-        s.set("guest_cache_misses", self.cache_misses);
-        s.set("guest_readahead_pages", self.readahead_pages);
-        s.set("guest_writebacks", self.writebacks);
-        s.set("guest_dropped_clean", self.dropped_clean);
-        s.set("guest_swap_outs", self.guest_swap_outs);
-        s.set("guest_swap_ins", self.guest_swap_ins);
-        s.set("guest_swap_readahead", self.guest_swap_readahead);
-        s.set("guest_reclaim_runs", self.reclaim_runs);
-        s.set("guest_oom_kills", self.oom_kills);
-        s.set("guest_balloon_pages", self.balloon_pages);
-        s.set("guest_pages_zeroed", self.pages_zeroed);
-        s
+sim_core::counters! {
+    /// Cumulative guest-kernel event counts, reported as `guest_<field>`.
+    pub struct GuestStats prefix "guest_" {
+        /// File reads satisfied from the guest page cache.
+        cache_hits,
+        /// File reads that missed the cache and required virtual-disk I/O.
+        cache_misses,
+        /// Pages read beyond the missing one by guest file readahead.
+        readahead_pages,
+        /// Dirty cache pages written back to the virtual disk.
+        writebacks,
+        /// Clean cache pages dropped by guest reclaim (no I/O, no host
+        /// notification — the silent drop behind stale/false reads).
+        dropped_clean,
+        /// Anonymous pages the guest swapped out to its own swap partition.
+        swap_outs,
+        /// Anonymous pages the guest swapped back in.
+        swap_ins,
+        /// Pages brought in by guest swap readahead beyond the faulting
+        /// page.
+        swap_readahead,
+        /// Guest direct-reclaim passes.
+        reclaim_runs,
+        /// Processes killed by the guest OOM killer (over-ballooning, §2.4).
+        oom_kills,
+        /// Pages currently pinned by the balloon.
+        balloon_pages,
+        /// Anonymous pages zeroed on first touch or reuse (full-page
+        /// overwrites — the false-read trigger).
+        pages_zeroed,
     }
 }
 
@@ -64,7 +39,7 @@ mod tests {
 
     #[test]
     fn stat_set_reflects_fields() {
-        let stats = GuestStats { oom_kills: 2, cache_hits: 5, ..GuestStats::new() };
+        let stats = GuestStats { oom_kills: 2, cache_hits: 5, ..GuestStats::default() };
         let set = stats.to_stat_set();
         assert_eq!(set.get("guest_oom_kills"), 2);
         assert_eq!(set.get("guest_cache_hits"), 5);

@@ -305,7 +305,7 @@ impl HostKernel {
             flags: FrameFlags::new(dram_pages),
             vms: Vec::new(),
             labels: LabelGen::new(),
-            stats: HostStats::new(),
+            stats: HostStats::default(),
             rng: DeterministicRng::seed_from(0x4051_beef),
             events: EventLog::disabled(),
             latency: LatencyHub::new(),
@@ -353,16 +353,6 @@ impl HostKernel {
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.disk.fault_plan()
-    }
-
-    /// Replaces the retry/backoff schedule for failed disk requests.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The retry/backoff schedule in force.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Registers a VM with the host, carving its disk-image and hypervisor
@@ -463,12 +453,6 @@ impl HostKernel {
     /// The VM's host-enforced memory limit in pages.
     pub fn mem_limit(&self, vm: VmId) -> u64 {
         self.vms[vm.index()].mem_limit
-    }
-
-    /// Adjusts the VM's memory limit (cgroup resize). Excess is reclaimed
-    /// lazily by subsequent allocations.
-    pub fn set_mem_limit(&mut self, vm: VmId, pages: u64) {
-        self.vms[vm.index()].mem_limit = pages;
     }
 
     /// Number of resident (EPT-present) guest pages of the VM.

@@ -6,119 +6,83 @@
 //! (sectors written to the swap area: silent writes), and Figure 11c
 //! (pages scanned by reclaim).
 
-use sim_core::StatSet;
-
-/// Cumulative host-kernel event counts.
-///
-/// All fields are public: this is a passive accounting record, written by
-/// the [`HostKernel`](crate::HostKernel) and read whole by reports.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HostStats {
-    /// EPT violations taken while *guest* code ran that required disk I/O
-    /// (major faults — Figure 9c's series).
-    pub guest_major_faults: u64,
-    /// EPT violations taken while guest code ran that were satisfied
-    /// without I/O (zero-fill or re-map).
-    pub guest_minor_faults: u64,
-    /// Page faults taken while *host* code ran in service of the guest
-    /// (Figure 9b's series: stale reads plus hypervisor-code refaults).
-    pub host_context_faults: u64,
-    /// Stale swap reads: swapped-out destination pages faulted in only to
-    /// be overwritten by virtual-disk DMA.
-    pub stale_swap_reads: u64,
-    /// False swap reads: swapped-out pages faulted in only to be wholly
-    /// overwritten by the guest CPU (zeroing, COW copies).
-    pub false_swap_reads: u64,
-    /// Hypervisor (QEMU) code pages refaulted after being reclaimed — the
-    /// cost of false page anonymity.
-    pub hypervisor_code_refaults: u64,
-    /// Guest pages written to the host swap area.
-    pub swap_outs: u64,
-    /// Guest pages read back from the host swap area (faulting page plus
-    /// readahead).
-    pub swap_ins: u64,
-    /// Swap writes whose content was identical to a guest disk-image block
-    /// (silent swap writes).
-    pub silent_swap_writes: u64,
-    /// Named guest pages reclaimed by discarding the mapping (the Mapper's
-    /// replacement for a swap write).
-    pub named_discards: u64,
-    /// Named guest pages faulted back in from the disk image (the Mapper's
-    /// replacement for a swap-in).
-    pub named_refaults: u64,
-    /// Pages examined by the reclaim scanner (Figure 11c).
-    pub pages_scanned: u64,
-    /// Direct-reclaim invocations.
-    pub reclaim_runs: u64,
-    /// Pages brought in by swap readahead beyond the faulting page.
-    pub swap_readahead_extra: u64,
-    /// Pages brought in by image readahead beyond the faulting page.
-    pub image_readahead_extra: u64,
-    /// Pages zero-filled on first touch.
-    pub zero_fills: u64,
-    /// Copy-on-write breaks of named pages (Mapper overhead, §5.3).
-    pub cow_breaks: u64,
-    /// Frames released to the host by balloon inflation.
-    pub balloon_released_pages: u64,
-    /// Swap slots freed because the balloon reclaimed a swapped-out page.
-    pub balloon_released_slots: u64,
-    /// Virtual-disk requests emulated (QEMU I/O servicing).
-    pub virtual_io_requests: u64,
-    /// Mapper consistency invalidations: guest disk writes that dissolved
-    /// (and possibly faulted in) an existing page↔block association.
-    pub consistency_invalidations: u64,
-    /// Failed disk requests resubmitted by the host's retry policy.
-    pub io_retries: u64,
-    /// Pages whose backing read failed permanently and whose content was
-    /// served from the logical store (slot record or image) instead.
-    pub recovered_pages: u64,
-    /// Named pages demoted to anonymous because their backing block went
-    /// bad (the Mapper's graceful degradation).
-    pub degraded_pages: u64,
-    /// Page↔block associations dissolved because the block was found
-    /// physically unreliable.
-    pub fault_invalidations: u64,
-    /// Swap-out writes relocated to a fresh slot after the first slot's
-    /// media proved bad.
-    pub swap_slot_remaps: u64,
-}
-
-impl HostStats {
-    /// Creates a zeroed record.
-    pub fn new() -> Self {
-        HostStats::default()
-    }
-
-    /// Renders the record as a named [`StatSet`] for reports.
-    pub fn to_stat_set(&self) -> StatSet {
-        let mut s = StatSet::new();
-        s.set("guest_major_faults", self.guest_major_faults);
-        s.set("guest_minor_faults", self.guest_minor_faults);
-        s.set("host_context_faults", self.host_context_faults);
-        s.set("stale_swap_reads", self.stale_swap_reads);
-        s.set("false_swap_reads", self.false_swap_reads);
-        s.set("hypervisor_code_refaults", self.hypervisor_code_refaults);
-        s.set("swap_outs", self.swap_outs);
-        s.set("swap_ins", self.swap_ins);
-        s.set("silent_swap_writes", self.silent_swap_writes);
-        s.set("named_discards", self.named_discards);
-        s.set("named_refaults", self.named_refaults);
-        s.set("pages_scanned", self.pages_scanned);
-        s.set("reclaim_runs", self.reclaim_runs);
-        s.set("swap_readahead_extra", self.swap_readahead_extra);
-        s.set("image_readahead_extra", self.image_readahead_extra);
-        s.set("zero_fills", self.zero_fills);
-        s.set("cow_breaks", self.cow_breaks);
-        s.set("balloon_released_pages", self.balloon_released_pages);
-        s.set("balloon_released_slots", self.balloon_released_slots);
-        s.set("virtual_io_requests", self.virtual_io_requests);
-        s.set("consistency_invalidations", self.consistency_invalidations);
-        s.set("io_retries", self.io_retries);
-        s.set("recovered_pages", self.recovered_pages);
-        s.set("degraded_pages", self.degraded_pages);
-        s.set("fault_invalidations", self.fault_invalidations);
-        s.set("swap_slot_remaps", self.swap_slot_remaps);
-        s
+sim_core::counters! {
+    /// Cumulative host-kernel event counts, reported under their field
+    /// names.
+    ///
+    /// All fields are public: this is a passive accounting record, written
+    /// by the [`HostKernel`](crate::HostKernel) and read whole by reports.
+    pub struct HostStats prefix "" {
+        /// EPT violations taken while *guest* code ran that required disk
+        /// I/O (major faults — Figure 9c's series).
+        guest_major_faults,
+        /// EPT violations taken while guest code ran that were satisfied
+        /// without I/O (zero-fill or re-map).
+        guest_minor_faults,
+        /// Page faults taken while *host* code ran in service of the guest
+        /// (Figure 9b's series: stale reads plus hypervisor-code refaults).
+        host_context_faults,
+        /// Stale swap reads: swapped-out destination pages faulted in only
+        /// to be overwritten by virtual-disk DMA.
+        stale_swap_reads,
+        /// False swap reads: swapped-out pages faulted in only to be wholly
+        /// overwritten by the guest CPU (zeroing, COW copies).
+        false_swap_reads,
+        /// Hypervisor (QEMU) code pages refaulted after being reclaimed —
+        /// the cost of false page anonymity.
+        hypervisor_code_refaults,
+        /// Guest pages written to the host swap area.
+        swap_outs,
+        /// Guest pages read back from the host swap area (faulting page
+        /// plus readahead).
+        swap_ins,
+        /// Swap writes whose content was identical to a guest disk-image
+        /// block (silent swap writes).
+        silent_swap_writes,
+        /// Named guest pages reclaimed by discarding the mapping (the
+        /// Mapper's replacement for a swap write).
+        named_discards,
+        /// Named guest pages faulted back in from the disk image (the
+        /// Mapper's replacement for a swap-in).
+        named_refaults,
+        /// Pages examined by the reclaim scanner (Figure 11c).
+        pages_scanned,
+        /// Direct-reclaim invocations.
+        reclaim_runs,
+        /// Pages brought in by swap readahead beyond the faulting page.
+        swap_readahead_extra,
+        /// Pages brought in by image readahead beyond the faulting page.
+        image_readahead_extra,
+        /// Pages zero-filled on first touch.
+        zero_fills,
+        /// Copy-on-write breaks of named pages (Mapper overhead, §5.3).
+        cow_breaks,
+        /// Frames released to the host by balloon inflation.
+        balloon_released_pages,
+        /// Swap slots freed because the balloon reclaimed a swapped-out
+        /// page.
+        balloon_released_slots,
+        /// Virtual-disk requests emulated (QEMU I/O servicing).
+        virtual_io_requests,
+        /// Mapper consistency invalidations: guest disk writes that
+        /// dissolved (and possibly faulted in) an existing page↔block
+        /// association.
+        consistency_invalidations,
+        /// Failed disk requests resubmitted by the host's retry policy.
+        io_retries,
+        /// Pages whose backing read failed permanently and whose content
+        /// was served from the logical store (slot record or image)
+        /// instead.
+        recovered_pages,
+        /// Named pages demoted to anonymous because their backing block
+        /// went bad (the Mapper's graceful degradation).
+        degraded_pages,
+        /// Page↔block associations dissolved because the block was found
+        /// physically unreliable.
+        fault_invalidations,
+        /// Swap-out writes relocated to a fresh slot after the first slot's
+        /// media proved bad.
+        swap_slot_remaps,
     }
 }
 
@@ -128,7 +92,7 @@ mod tests {
 
     #[test]
     fn stat_set_round_trips_fields() {
-        let stats = HostStats { stale_swap_reads: 7, pages_scanned: 42, ..HostStats::new() };
+        let stats = HostStats { stale_swap_reads: 7, pages_scanned: 42, ..HostStats::default() };
         let set = stats.to_stat_set();
         assert_eq!(set.get("stale_swap_reads"), 7);
         assert_eq!(set.get("pages_scanned"), 42);

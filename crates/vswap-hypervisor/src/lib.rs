@@ -12,8 +12,9 @@
 //! * [`retry`] — the bounded retry/backoff policy the storage emulation
 //!   applies to failed disk requests (fault injection support),
 //! * [`pressure`] — host memory-pressure signals ([`HostPressure`]) and the
-//!   debounced sustained-pressure detector ([`PressureTracker`]) the cluster
-//!   scheduler uses to decide when to migrate a guest off a thrashing host.
+//!   consecutive-poll [`Debounce`] the cluster scheduler uses to decide when
+//!   to migrate a guest off a thrashing host and when to quarantine a
+//!   faulty one.
 //!
 //! [MOM]: https://www.ibm.com/developerworks/library/l-overcommit-kvm-resources/
 //!
@@ -35,6 +36,6 @@ pub mod retry;
 pub mod vm;
 
 pub use balloon::{BalloonManager, BalloonPolicy, VmTelemetry};
-pub use pressure::{DegradationTracker, HostPressure, PressureTracker};
+pub use pressure::{Debounce, HostPressure};
 pub use retry::RetryPolicy;
 pub use vm::VmSpec;

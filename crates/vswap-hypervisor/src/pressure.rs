@@ -5,8 +5,9 @@
 //! trigger* ("has this host been thrashing long enough that moving a
 //! guest is worth a stop-and-copy?"). Both are derived from the same
 //! [`HostPressure`] sample — free frames plus the recent host swap
-//! rate — and the trigger is debounced by [`PressureTracker`] so a
-//! single readahead burst never causes a migration.
+//! rate — and the trigger is a [`Debounce`] so a single readahead burst
+//! never causes a migration. The same [`Debounce`] gates host
+//! quarantine on a sustained injected-fault rate.
 
 use sim_core::SimDuration;
 
@@ -39,6 +40,36 @@ impl HostPressure {
         }
     }
 
+    /// True if this poll counts as pressured: the swap rate is above
+    /// `swap_ops_threshold` (ops/sec) while the free-DRAM fraction is
+    /// below `free_frac_watermark`. High swap churn with plenty of free
+    /// memory (readahead) is not pressure.
+    ///
+    /// # Examples
+    ///
+    /// The cluster's migration trigger is this predicate fed to a
+    /// [`Debounce`]:
+    ///
+    /// ```
+    /// use sim_core::SimDuration;
+    /// use vswap_hypervisor::{Debounce, HostPressure};
+    ///
+    /// let mut trigger = Debounce::new(2, 1);
+    /// let pressured = HostPressure {
+    ///     free_frames: 10,
+    ///     dram_frames: 1000,
+    ///     recent_swap_ops: 5000,
+    ///     interval: SimDuration::from_secs(1),
+    /// };
+    /// let p = pressured.is_pressured(100.0, 0.25);
+    /// assert!(p);
+    /// assert!(!trigger.observe(p), "one poll is not sustained");
+    /// assert!(trigger.observe(p), "two consecutive polls are");
+    /// ```
+    pub fn is_pressured(&self, swap_ops_threshold: f64, free_frac_watermark: f64) -> bool {
+        self.swap_ops_per_sec() > swap_ops_threshold && self.free_frac() < free_frac_watermark
+    }
+
     /// The placement score: *effective* free frames after subtracting
     /// memory already committed (promised to VMs but not yet touched).
     /// Higher is a better placement target. Deterministic: pure integer
@@ -48,148 +79,62 @@ impl HostPressure {
     }
 }
 
-/// Debounced sustained-pressure detector: the scheduler only migrates
-/// off a host whose swap rate has exceeded the threshold for
-/// `sustain_polls` *consecutive* polls while free memory sat under the
-/// low watermark.
+/// A consecutive-poll debounce: a two-state signal that turns on after
+/// `on_after` consecutive polls report `true`, and off again after
+/// `off_after` consecutive polls report `false`. Any poll that agrees
+/// with the current state restarts the count, so a single outlier poll
+/// never flips it. A threshold of zero acts as one.
 #[derive(Debug, Clone, Copy)]
-pub struct PressureTracker {
-    /// Swap ops/sec above which a poll counts as pressured.
-    pub swap_ops_per_sec_threshold: f64,
-    /// Free-DRAM fraction below which a poll counts as pressured.
-    pub free_frac_low_watermark: f64,
-    /// Consecutive pressured polls required to trigger.
-    pub sustain_polls: u32,
-    /// Consecutive pressured polls observed so far.
+pub struct Debounce {
+    on_after: u32,
+    off_after: u32,
+    /// Consecutive polls disagreeing with the current state.
     streak: u32,
+    on: bool,
 }
 
-impl PressureTracker {
-    /// A tracker with the given thresholds and an empty streak.
-    pub fn new(
-        swap_ops_per_sec_threshold: f64,
-        free_frac_low_watermark: f64,
-        sustain_polls: u32,
-    ) -> Self {
-        PressureTracker {
-            swap_ops_per_sec_threshold,
-            free_frac_low_watermark,
-            sustain_polls,
-            streak: 0,
-        }
+impl Debounce {
+    /// A debounce in the off state with the given thresholds.
+    pub fn new(on_after: u32, off_after: u32) -> Self {
+        Debounce { on_after, off_after, streak: 0, on: false }
     }
 
-    /// Feeds one poll's sample. Returns `true` when the pressure has
-    /// been sustained long enough that the scheduler should migrate a
-    /// guest off this host.
+    /// Feeds one poll and returns the state *after* it.
     ///
     /// # Examples
     ///
     /// ```
-    /// use sim_core::SimDuration;
-    /// use vswap_hypervisor::{HostPressure, PressureTracker};
+    /// use vswap_hypervisor::Debounce;
     ///
-    /// let mut tracker = PressureTracker::new(100.0, 0.25, 2);
-    /// let pressured = HostPressure {
-    ///     free_frames: 10,
-    ///     dram_frames: 1000,
-    ///     recent_swap_ops: 5000,
-    ///     interval: SimDuration::from_secs(1),
-    /// };
-    /// assert!(!tracker.observe(&pressured), "one poll is not sustained");
-    /// assert!(tracker.observe(&pressured), "two consecutive polls are");
+    /// let mut d = Debounce::new(2, 2);
+    /// assert!(!d.observe(true), "one poll is not sustained");
+    /// assert!(d.observe(true), "two consecutive polls are");
+    /// assert!(d.observe(false), "one contrary poll does not turn it off");
+    /// assert!(!d.observe(false), "two consecutive contrary polls do");
     /// ```
-    pub fn observe(&mut self, sample: &HostPressure) -> bool {
-        let pressured = sample.swap_ops_per_sec() > self.swap_ops_per_sec_threshold
-            && sample.free_frac() < self.free_frac_low_watermark;
-        if pressured {
+    pub fn observe(&mut self, signal: bool) -> bool {
+        if signal != self.on {
             self.streak += 1;
         } else {
             self.streak = 0;
         }
-        if self.streak >= self.sustain_polls {
-            // Triggering consumes the streak: the next trigger needs a
-            // fresh run of pressured polls (a migration cooldown).
-            self.streak = 0;
-            return true;
-        }
-        false
-    }
-
-    /// Resets the streak (e.g. after the scheduler acted on this host).
-    pub fn reset(&mut self) {
-        self.streak = 0;
-    }
-}
-
-/// Hysteretic degraded-host detector: a host whose injected disk-fault
-/// rate stays above the watermark for `sustain_polls` consecutive polls
-/// is *quarantined* — excluded from placement (new admissions, migration
-/// and evacuation destinations) — until the rate stays below the
-/// watermark for `recover_polls` consecutive polls.
-///
-/// Both transitions are debounced so a single bad poll neither
-/// quarantines a healthy host nor paroles a degraded one.
-#[derive(Debug, Clone, Copy)]
-pub struct DegradationTracker {
-    /// Injected disk faults per simulated second above which a poll
-    /// counts as degraded.
-    pub fault_rate_watermark: f64,
-    /// Consecutive degraded polls required to quarantine.
-    pub sustain_polls: u32,
-    /// Consecutive clean polls required to recover.
-    pub recover_polls: u32,
-    /// Consecutive polls agreeing with the opposite of the current
-    /// state.
-    streak: u32,
-    quarantined: bool,
-}
-
-impl DegradationTracker {
-    /// A tracker with the given thresholds, initially healthy.
-    pub fn new(fault_rate_watermark: f64, sustain_polls: u32, recover_polls: u32) -> Self {
-        DegradationTracker {
-            fault_rate_watermark,
-            sustain_polls,
-            recover_polls,
-            streak: 0,
-            quarantined: false,
-        }
-    }
-
-    /// Feeds one poll's injected-fault rate (faults per simulated second
-    /// since the previous poll). Returns the quarantine state *after*
-    /// this poll.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use vswap_hypervisor::DegradationTracker;
-    ///
-    /// let mut t = DegradationTracker::new(10.0, 2, 2);
-    /// assert!(!t.observe(50.0), "one bad poll is not sustained");
-    /// assert!(t.observe(50.0), "two consecutive bad polls quarantine");
-    /// assert!(t.observe(0.0), "one clean poll does not parole");
-    /// assert!(!t.observe(0.0), "two consecutive clean polls do");
-    /// ```
-    pub fn observe(&mut self, faults_per_sec: f64) -> bool {
-        let degraded = faults_per_sec > self.fault_rate_watermark;
-        if degraded != self.quarantined {
-            self.streak += 1;
-        } else {
-            self.streak = 0;
-        }
-        let needed = if self.quarantined { self.recover_polls } else { self.sustain_polls };
+        let needed = if self.on { self.off_after } else { self.on_after };
         if self.streak >= needed.max(1) {
-            self.quarantined = !self.quarantined;
+            self.on = !self.on;
             self.streak = 0;
         }
-        self.quarantined
+        self.on
     }
 
-    /// The current quarantine state.
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined
+    /// The current state.
+    pub fn is_on(&self) -> bool {
+        self.on
+    }
+
+    /// Returns to the off state with no streak (e.g. after the scheduler
+    /// acted on the signal).
+    pub fn reset(&mut self) {
+        *self = Debounce::new(self.on_after, self.off_after);
     }
 }
 
@@ -206,39 +151,54 @@ mod tests {
         }
     }
 
+    /// Drives `trigger` the way the cluster drives its migration
+    /// trigger: fed the pressured predicate, reset as soon as it fires.
+    fn fires(trigger: &mut Debounce, sample: HostPressure) -> bool {
+        let fired = trigger.observe(sample.is_pressured(100.0, 0.25));
+        if fired {
+            trigger.reset();
+        }
+        fired
+    }
+
     #[test]
     fn calm_hosts_never_trigger() {
-        let mut t = PressureTracker::new(100.0, 0.25, 2);
+        let mut t = Debounce::new(2, 1);
         for _ in 0..10 {
-            assert!(!t.observe(&sample(900, 0)));
+            assert!(!fires(&mut t, sample(900, 0)));
         }
     }
 
     #[test]
     fn a_blip_is_debounced() {
-        let mut t = PressureTracker::new(100.0, 0.25, 3);
-        assert!(!t.observe(&sample(10, 5000)));
-        assert!(!t.observe(&sample(900, 0)), "streak broken");
-        assert!(!t.observe(&sample(10, 5000)));
-        assert!(!t.observe(&sample(10, 5000)));
-        assert!(t.observe(&sample(10, 5000)), "three in a row triggers");
+        let mut t = Debounce::new(3, 1);
+        assert!(!fires(&mut t, sample(10, 5000)));
+        assert!(!fires(&mut t, sample(900, 0)), "streak broken");
+        assert!(!fires(&mut t, sample(10, 5000)));
+        assert!(!fires(&mut t, sample(10, 5000)));
+        assert!(fires(&mut t, sample(10, 5000)), "three in a row triggers");
     }
 
     #[test]
     fn trigger_consumes_the_streak() {
-        let mut t = PressureTracker::new(100.0, 0.25, 1);
-        assert!(t.observe(&sample(10, 5000)));
-        assert!(t.observe(&sample(10, 5000)), "sustain=1 re-triggers each poll");
+        let mut t = Debounce::new(1, 1);
+        assert!(fires(&mut t, sample(10, 5000)));
+        assert!(fires(&mut t, sample(10, 5000)), "sustain=1 re-triggers each poll");
+        let mut t = Debounce::new(2, 1);
+        assert!(!fires(&mut t, sample(10, 5000)));
+        assert!(fires(&mut t, sample(10, 5000)));
+        assert!(!fires(&mut t, sample(10, 5000)), "firing consumed the streak");
         t.reset();
-        assert_eq!(t.streak, 0);
+        assert_eq!((t.streak, t.is_on()), (0, false));
     }
 
     #[test]
     fn high_swap_rate_with_free_memory_is_not_pressure() {
         // Readahead churn on a host with plenty of free frames must not
         // trigger migrations.
-        let mut t = PressureTracker::new(100.0, 0.25, 1);
-        assert!(!t.observe(&sample(900, 5000)));
+        let mut t = Debounce::new(1, 1);
+        assert!(!fires(&mut t, sample(900, 5000)));
+        assert!(sample(10, 5000).is_pressured(100.0, 0.25));
     }
 
     #[test]
@@ -250,28 +210,36 @@ mod tests {
 
     #[test]
     fn degradation_is_hysteretic() {
-        let mut t = DegradationTracker::new(25.0, 3, 2);
-        assert!(!t.is_quarantined());
-        assert!(!t.observe(100.0));
-        assert!(!t.observe(100.0));
-        assert!(t.observe(100.0), "three sustained bad polls quarantine");
-        assert!(t.is_quarantined());
-        assert!(t.observe(100.0), "staying bad keeps the quarantine");
-        assert!(t.observe(0.0), "one clean poll is not parole");
-        assert!(t.observe(100.0), "a relapse restarts the recovery count");
-        assert!(t.observe(0.0));
-        assert!(!t.observe(0.0), "two consecutive clean polls recover");
-        assert!(!t.is_quarantined());
+        let mut t = Debounce::new(3, 2);
+        assert!(!t.is_on());
+        assert!(!t.observe(true));
+        assert!(!t.observe(true));
+        assert!(t.observe(true), "three sustained bad polls quarantine");
+        assert!(t.is_on());
+        assert!(t.observe(true), "staying bad keeps the quarantine");
+        assert!(t.observe(false), "one clean poll is not parole");
+        assert!(t.observe(true), "a relapse restarts the recovery count");
+        assert!(t.observe(false));
+        assert!(!t.observe(false), "two consecutive clean polls recover");
+        assert!(!t.is_on());
     }
 
     #[test]
     fn degradation_blips_are_debounced() {
-        let mut t = DegradationTracker::new(25.0, 2, 1);
-        assert!(!t.observe(100.0));
-        assert!(!t.observe(0.0), "streak broken by a clean poll");
-        assert!(!t.observe(100.0));
-        assert!(t.observe(100.0));
-        assert!(!t.observe(0.0), "recover_polls=1 paroles immediately");
+        let mut t = Debounce::new(2, 1);
+        assert!(!t.observe(true));
+        assert!(!t.observe(false), "streak broken by a clean poll");
+        assert!(!t.observe(true));
+        assert!(t.observe(true));
+        assert!(!t.observe(false), "off_after=1 paroles immediately");
+    }
+
+    #[test]
+    fn zero_thresholds_act_as_one() {
+        let mut t = Debounce::new(0, 0);
+        assert!(!t.observe(false), "an agreeing poll never flips the state");
+        assert!(t.observe(true));
+        assert!(!t.observe(false));
     }
 
     #[test]

@@ -155,7 +155,6 @@ fn unpack_owner(bits: u64) -> FrameOwner {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HostFrameTable {
-    total: u64,
     /// Packed owner per frame; `0` = free. Structure-of-arrays so the
     /// empty table is all-zero bytes and construction is `alloc_zeroed`
     /// (lazily mapped), not an eager fill over hundreds of MiB of DRAM
@@ -189,7 +188,6 @@ impl HostFrameTable {
             }
         }
         HostFrameTable {
-            total,
             owners: vec![0; total as usize],
             accessed_bits: vec![0; words],
             dirty_bits: vec![0; words],
@@ -198,11 +196,6 @@ impl HostFrameTable {
             free_count: total,
             hint: 0,
         }
-    }
-
-    /// Total number of frames (free + allocated).
-    pub fn total_frames(&self) -> u64 {
-        self.total
     }
 
     /// Number of currently free frames.

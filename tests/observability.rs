@@ -2,12 +2,16 @@
 //! every component, Chrome-trace export validity, profiler completeness,
 //! and the zero-cost guarantee when no sink is attached.
 
-use sim_core::SimDuration;
+use sim_core::{SimDuration, StatSet};
 use sim_obs::{export, EventKind, TimeCategory, TraceFormat};
+use vswap_core::mapper::MapperStats;
 use vswap_core::workload_api::FileScan;
-use vswap_core::{LiveMigration, Machine, MachineConfig, MigrationConfig, SwapPolicy, VmHandle};
-use vswap_guestos::GuestSpec;
-use vswap_hostos::HostSpec;
+use vswap_core::{
+    LiveMigration, Machine, MachineConfig, MigrationConfig, PreventerStats, SwapPolicy, VmHandle,
+};
+use vswap_disk::DiskStats;
+use vswap_guestos::{GuestSpec, GuestStats};
+use vswap_hostos::{HostSpec, HostStats};
 use vswap_hypervisor::VmSpec;
 use vswap_mem::MemBytes;
 use vswap_workloads::alloctouch::{AccessMode, AllocStream};
@@ -314,5 +318,109 @@ fn metrics_registry_flattens_component_scopes() {
         report.metrics.get("preventer/preventer_remaps"),
         report.preventer.get("preventer_remaps"),
         "flattened metrics mirror the component stat sets"
+    );
+}
+
+/// Pins every counter record's full list of report keys. Goldens render
+/// values, not keys, and `StatSet::get` reads a misspelt key as 0, so a
+/// renamed counter would otherwise go unnoticed.
+#[test]
+fn counter_records_keep_their_report_keys() {
+    fn keys(stats: StatSet) -> Vec<String> {
+        stats.iter().map(|(key, _)| key.to_owned()).collect()
+    }
+    assert_eq!(
+        keys(HostStats::default().to_stat_set()),
+        [
+            "balloon_released_pages",
+            "balloon_released_slots",
+            "consistency_invalidations",
+            "cow_breaks",
+            "degraded_pages",
+            "false_swap_reads",
+            "fault_invalidations",
+            "guest_major_faults",
+            "guest_minor_faults",
+            "host_context_faults",
+            "hypervisor_code_refaults",
+            "image_readahead_extra",
+            "io_retries",
+            "named_discards",
+            "named_refaults",
+            "pages_scanned",
+            "reclaim_runs",
+            "recovered_pages",
+            "silent_swap_writes",
+            "stale_swap_reads",
+            "swap_ins",
+            "swap_outs",
+            "swap_readahead_extra",
+            "swap_slot_remaps",
+            "virtual_io_requests",
+            "zero_fills",
+        ]
+    );
+    assert_eq!(
+        keys(GuestStats::default().to_stat_set()),
+        [
+            "guest_balloon_pages",
+            "guest_cache_hits",
+            "guest_cache_misses",
+            "guest_dropped_clean",
+            "guest_oom_kills",
+            "guest_pages_zeroed",
+            "guest_readahead_pages",
+            "guest_reclaim_runs",
+            "guest_swap_ins",
+            "guest_swap_outs",
+            "guest_swap_readahead",
+            "guest_writebacks",
+        ]
+    );
+    assert_eq!(
+        keys(DiskStats::default().to_stat_set()),
+        [
+            "disk_busy_ns",
+            "disk_doorbells",
+            "disk_injected_faults",
+            "disk_io_retries",
+            "disk_max_inflight",
+            "disk_ooo_completions",
+            "disk_ops",
+            "disk_read_ops",
+            "disk_sectors_read",
+            "disk_sectors_written",
+            "disk_seeks",
+            "disk_sequential_ops",
+            "disk_swap_read_ops",
+            "disk_swap_read_seeks",
+            "disk_swap_sectors_read",
+            "disk_swap_sectors_written",
+            "disk_swap_write_ops",
+            "disk_timed_out_requests",
+            "disk_torn_writes",
+            "disk_write_ops",
+        ]
+    );
+    assert_eq!(
+        keys(MapperStats::default().to_stat_set()),
+        [
+            "mapper_mapped_reads",
+            "mapper_mapped_writes",
+            "mapper_tracked_high_water",
+            "mapper_unaligned_fallbacks",
+        ]
+    );
+    assert_eq!(
+        keys(PreventerStats::default().to_stat_set()),
+        [
+            "preventer_buffers_opened",
+            "preventer_cancelled",
+            "preventer_capacity_evictions",
+            "preventer_merges",
+            "preventer_read_merges",
+            "preventer_remaps",
+            "preventer_timeouts",
+        ]
     );
 }

@@ -708,10 +708,11 @@ proptest! {
         seed in any::<u64>(),
         write in any::<bool>(),
         attempt in 0..3u32,
-        spans in prop::collection::vec((0..5_000u64, 1..64u64), 1..12),
+        start in 0..5_000u64,
+        len in 2..256u64,
+        cut in any::<u64>(),
     ) {
-        use std::collections::BTreeSet;
-        use vswap_disk::{merge_ranges, FaultConfig, FaultPlan, SectorRange};
+        use vswap_disk::{FaultConfig, FaultPlan};
         let plan = FaultPlan::new(
             FaultConfig {
                 latent_rate: 0.02,
@@ -722,14 +723,11 @@ proptest! {
             },
             seed,
         );
-        let ranges: Vec<SectorRange> =
-            spans.into_iter().map(|(s, l)| SectorRange::new(s, l)).collect();
-        let union = |rs: &[SectorRange]| -> BTreeSet<u64> {
-            rs.iter()
-                .flat_map(|r| plan.faulty_sectors(write, r.start(), r.len(), attempt))
-                .collect()
-        };
-        prop_assert_eq!(union(&ranges), union(&merge_ranges(&ranges)));
+        // Split [start, start + len) into two non-empty pieces at `at`.
+        let at = 1 + cut % (len - 1);
+        let mut pieces = plan.faulty_sectors(write, start, at, attempt);
+        pieces.extend(plan.faulty_sectors(write, start + at, len - at, attempt));
+        prop_assert_eq!(pieces, plan.faulty_sectors(write, start, len, attempt));
     }
 
     // `decide` fails a request on exactly the first faulty sector that
