@@ -25,22 +25,26 @@ impl Criterion {
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         println!("group: {name}");
-        BenchmarkGroup { criterion: self, name: name.to_string() }
+        BenchmarkGroup { criterion: self, name: name.to_string(), measurement: self.measurement }
     }
 }
 
 /// A named collection of benchmarks sharing configuration.
 pub struct BenchmarkGroup<'a> {
-    criterion: &'a mut Criterion,
+    criterion: &'a Criterion,
     name: String,
+    /// This group's measurement window; it starts as the harness default
+    /// and [`BenchmarkGroup::sample_size`] changes it for this group only.
+    measurement: Duration,
 }
 
 impl BenchmarkGroup<'_> {
     /// Accepted for API compatibility; sampling here is time-based, so the
-    /// requested sample count only scales the measurement window a little.
+    /// requested sample count only scales this group's measurement window
+    /// a little.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         let scaled = 400u64.saturating_mul(n as u64) / 100;
-        self.criterion.measurement = Duration::from_millis(scaled.clamp(100, 2_000));
+        self.measurement = Duration::from_millis(scaled.clamp(100, 2_000));
         self
     }
 
@@ -51,7 +55,7 @@ impl BenchmarkGroup<'_> {
     {
         let mut bencher = Bencher {
             warm_up: self.criterion.warm_up,
-            measurement: self.criterion.measurement,
+            measurement: self.measurement,
             result: None,
         };
         f(&mut bencher);
@@ -140,5 +144,15 @@ mod tests {
         });
         group.finish();
         assert!(ran);
+    }
+
+    #[test]
+    fn sample_size_sets_only_its_own_group() {
+        let mut c = Criterion::default();
+        let default = c.measurement;
+        let mut short = c.benchmark_group("short");
+        short.sample_size(20);
+        short.finish();
+        assert_eq!(c.measurement, default, "a later group must keep the default window");
     }
 }

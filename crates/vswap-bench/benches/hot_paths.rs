@@ -1,18 +1,23 @@
-//! Criterion micro-benchmarks of the allocation-free fault-path
-//! primitives: the bitmap frame allocator, LRU requeue on the intrusive
-//! lists, origin-map lookups, and swap-slot allocation. These are the
-//! per-fault building blocks whose cost bounds pages-simulated/sec; the
-//! suite-level number lives in `BENCH_7.json` (see EXPERIMENTS.md). The
+//! Criterion micro-benchmarks of the simulator's hot paths: the
+//! allocation-free fault-path primitives (the bitmap frame allocator,
+//! the intrusive LRU lists, origin-map lookups, swap-slot allocation),
+//! the disk model, the EPT, and the host kernel's fault paths. These are
+//! the per-fault building blocks whose cost bounds pages-simulated/sec;
+//! the suite-level numbers come from the `vswap-perf` benchmark. The
 //! `construction` group times the per-guest tables a machine builds for
 //! every VM, so an eager per-page fill shows up at its own layer.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sim_core::SimTime;
 use std::hint::black_box;
 use vswap_bench::experiments::common;
 use vswap_bench::Scale;
+use vswap_disk::{DiskModel, DiskSpec, IoKind, IoTag, SectorRange};
 use vswap_guestos::{GuestKernel, GuestSwap};
-use vswap_hostos::{OriginMap, SlotInfo, SwapArea};
-use vswap_mem::{ContentLabel, Ept, FrameOwner, Gfn, HostFrameTable, IndexList, VmId};
+use vswap_hostos::{HostKernel, HostSpec, OriginMap, SlotInfo, SwapArea, VmMmConfig};
+use vswap_mem::{
+    Backing, ContentLabel, Ept, FrameId, FrameOwner, Gfn, HostFrameTable, IndexList, MemBytes, VmId,
+};
 
 /// One host's DRAM at smoke scale (1 GiB / 4 KiB pages).
 const DRAM_FRAMES: u64 = 262_144;
@@ -54,6 +59,17 @@ fn bench_lru_requeue(c: &mut Criterion) {
             lru.move_to_back(i);
             i = (i + 7919) % n;
             black_box(lru.front())
+        });
+    });
+    group.bench_function("push_pop_cycle", |b| {
+        let mut list = IndexList::with_capacity(1 << 16);
+        for i in 0..(1 << 15) {
+            list.push_back(i);
+        }
+        b.iter(|| {
+            let idx = list.pop_front().expect("non-empty");
+            list.push_back(idx);
+            black_box(idx)
         });
     });
     group.finish();
@@ -123,12 +139,144 @@ fn bench_construction(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_disk(c: &mut Criterion) {
+    let mut group = c.benchmark_group("disk");
+    group.bench_function("sequential_submit", |b| {
+        let mut disk = DiskModel::new(DiskSpec::hdd_7200());
+        let mut sector = 0u64;
+        b.iter(|| {
+            let io = disk.submit(
+                SimTime::ZERO,
+                IoKind::Read,
+                SectorRange::new(sector, 8),
+                IoTag::GuestImage,
+            );
+            let io = io.expect("no fault plan installed");
+            sector += 8;
+            black_box(io)
+        });
+    });
+    group.bench_function("scattered_submit", |b| {
+        let mut disk = DiskModel::new(DiskSpec::hdd_7200());
+        let mut sector = 0u64;
+        b.iter(|| {
+            let io = disk.submit(
+                SimTime::ZERO,
+                IoKind::Read,
+                SectorRange::new(sector % (1 << 24), 8),
+                IoTag::HostSwap,
+            );
+            let io = io.expect("no fault plan installed");
+            sector = sector.wrapping_mul(6364136223846793005).wrapping_add(8);
+            black_box(io)
+        });
+    });
+    group.finish();
+}
+
+fn bench_ept(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ept");
+    group.bench_function("map_unmap", |b| {
+        let mut ept = Ept::new(1 << 16);
+        let mut gfn = 0u64;
+        b.iter(|| {
+            let g = Gfn::new(gfn % (1 << 16));
+            ept.map(g, FrameId::new(1));
+            ept.unmap(g, Backing::None);
+            gfn += 1;
+        });
+    });
+    group.finish();
+}
+
+fn bench_host_paths(c: &mut Criterion) {
+    let mut group = c.benchmark_group("host-kernel");
+    group.sample_size(20);
+
+    group.bench_function("resident_touch", |b| {
+        let (mut host, vm) = tight_host();
+        host.guest_access(SimTime::ZERO, vm, Gfn::new(0), false);
+        b.iter(|| black_box(host.guest_access(SimTime::ZERO, vm, Gfn::new(0), false)));
+    });
+
+    group.bench_function("zero_fill_fault", |b| {
+        // Each page is released after its touch, so every touch is a
+        // first touch. Without the release the VM is fully resident
+        // within the warm-up, and the timed touches are resident ones.
+        let (mut host, vm) = roomy_host();
+        let mut gfn = 0u64;
+        b.iter(|| {
+            let g = Gfn::new(gfn % 30_000);
+            let out = host.guest_access(SimTime::ZERO, vm, g, false);
+            host.balloon_release(vm, g);
+            gfn += 1;
+            black_box(out)
+        });
+    });
+
+    group.bench_function("swap_cycle", |b| {
+        // Continuously touching twice the limit cycles pages through the
+        // swap area: eviction + swap-in with readahead on every step.
+        let (mut host, vm) = tight_host();
+        let mut gfn = 0u64;
+        b.iter(|| {
+            let out = host.guest_access(SimTime::ZERO, vm, Gfn::new(gfn % 2048), true);
+            gfn += 1;
+            black_box(out)
+        });
+    });
+    group.finish();
+}
+
+fn tight_host() -> (HostKernel, VmId) {
+    let spec = HostSpec {
+        dram: MemBytes::from_mb(8),
+        disk_pages: MemBytes::from_mb(128).pages(),
+        swap_pages: MemBytes::from_mb(32).pages(),
+        hypervisor_code_pages: 16,
+        ..HostSpec::paper_testbed()
+    };
+    let mut host = HostKernel::new(spec).expect("valid spec");
+    let vm = host
+        .create_vm(VmMmConfig {
+            gfn_count: 4096,
+            image_pages: 8192,
+            mem_limit_pages: 1024,
+            mapper_enabled: false,
+        })
+        .expect("fits");
+    (host, vm)
+}
+
+fn roomy_host() -> (HostKernel, VmId) {
+    let spec = HostSpec {
+        dram: MemBytes::from_mb(256),
+        disk_pages: MemBytes::from_mb(512).pages(),
+        swap_pages: MemBytes::from_mb(64).pages(),
+        hypervisor_code_pages: 16,
+        ..HostSpec::paper_testbed()
+    };
+    let mut host = HostKernel::new(spec).expect("valid spec");
+    let vm = host
+        .create_vm(VmMmConfig {
+            gfn_count: 32_768,
+            image_pages: 8192,
+            mem_limit_pages: 32_768,
+            mapper_enabled: false,
+        })
+        .expect("fits");
+    (host, vm)
+}
+
 criterion_group!(
     benches,
     bench_frame_table,
     bench_lru_requeue,
     bench_origin_lookup,
     bench_slot_alloc,
-    bench_construction
+    bench_construction,
+    bench_disk,
+    bench_ept,
+    bench_host_paths
 );
 criterion_main!(benches);

@@ -46,18 +46,18 @@ USAGE:
                                  experiments) and diff against the golden corpus
   vswap list                     list workloads, policies, and experiments
 
-SUITE OPTIONS (figures / verify-tables):
-  --jobs <N>          worker threads (default 0 = all cores); output is
-                      bitwise identical for every worker count
-  --smoke             reduced ~16x scale (`figures` only; `verify-tables`
-                      is always smoke scale — that is what the corpus holds)
-  --seed <N>          suite root seed (`figures` only; the corpus is
-                      generated under the default seed)
-  --bless             (`verify-tables`) rewrite crates/vswap-bench/golden/
+SUITE OPTIONS (figures / verify-tables; each rejects the other's):
+  --jobs <N>          (both) worker threads (default 0 = all cores); output
+                      is bitwise identical for every worker count
+  --smoke             (`figures` only) reduced ~16x scale; `verify-tables`
+                      is always smoke scale — that is what the corpus holds
+  --seed <N>          (`figures` only) suite root seed; the corpus is
+                      generated under the default seed
+  --bless             (`verify-tables` only) rewrite crates/vswap-bench/golden/
                       from this run instead of diffing
-  --bench-out <PATH>  (`verify-tables`) write a serial-vs-parallel timing
-                      report as JSON
-  --dump-dir <DIR>    (`verify-tables`) write each experiment's fresh
+  --bench-out <PATH>  (`verify-tables` only) write a serial-vs-parallel
+                      timing report as JSON
+  --dump-dir <DIR>    (`verify-tables` only) write each experiment's fresh
                       rendering to DIR/<id>.md and the checked-in
                       expected rendering to DIR/<id>.expected.md (CI
                       keeps the pair as a diffable artifact when the
@@ -599,7 +599,9 @@ fn cmd_list() -> String {
     out
 }
 
-/// Arguments shared by the `figures` and `verify-tables` subcommands.
+/// Arguments of the `figures` and `verify-tables` subcommands. Each
+/// subcommand rejects the options only the other one reads, so every
+/// field a subcommand does not read keeps its default.
 #[derive(Debug, Clone)]
 struct SuiteArgs {
     scale: Scale,
@@ -611,7 +613,8 @@ struct SuiteArgs {
     dump_dir: Option<String>,
 }
 
-fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
+/// Parses the arguments of `cmd`, which is `figures` or `verify-tables`.
+fn parse_suite_args(cmd: &str, args: &[String]) -> Result<SuiteArgs, String> {
     let mut parsed = SuiteArgs {
         scale: Scale::Paper,
         jobs: 0,
@@ -623,6 +626,14 @@ fn parse_suite_args(args: &[String]) -> Result<SuiteArgs, String> {
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let owner = match arg.as_str() {
+            "--smoke" | "--seed" => "figures",
+            "--bless" | "--bench-out" | "--dump-dir" => "verify-tables",
+            _ => cmd,
+        };
+        if owner != cmd {
+            return Err(format!("`{cmd}` does not take {arg}; it is a `{owner}` option"));
+        }
         let mut value =
             |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
         match arg.as_str() {
@@ -805,7 +816,7 @@ fn main() -> ExitCode {
     };
     let result = match cmd.as_str() {
         "list" => Ok(cmd_list()),
-        "figures" | "verify-tables" => match parse_suite_args(rest) {
+        "figures" | "verify-tables" => match parse_suite_args(cmd, rest) {
             Ok(suite_args) => {
                 if cmd == "figures" {
                     cmd_figures(&suite_args)
@@ -932,40 +943,39 @@ mod tests {
 
     #[test]
     fn suite_args_parse() {
-        let owned: Vec<String> = [
-            "--smoke",
-            "--jobs",
-            "4",
-            "--seed",
-            "9",
-            "--bless",
-            "--bench-out",
-            "/tmp/b.json",
-            "--dump-dir",
-            "/tmp/tables",
-            "fig03",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let a = parse_suite_args(&owned).unwrap();
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let a =
+            parse_suite_args("figures", &args(&["--smoke", "--jobs", "4", "--seed", "9", "fig03"]))
+                .unwrap();
         assert_eq!(a.scale, Scale::Smoke);
         assert_eq!(a.jobs, 4);
         assert_eq!(a.seed, 9);
-        assert!(a.bless);
-        assert_eq!(a.bench_out.as_deref(), Some("/tmp/b.json"));
-        assert_eq!(a.dump_dir.as_deref(), Some("/tmp/tables"));
         assert_eq!(a.ids, vec!["fig03".to_owned()]);
 
-        let defaults = parse_suite_args(&[]).unwrap();
+        let v = parse_suite_args(
+            "verify-tables",
+            &args(&["--bless", "--bench-out", "/tmp/b.json", "--dump-dir", "/tmp/tables"]),
+        )
+        .unwrap();
+        assert!(v.bless);
+        assert_eq!(v.bench_out.as_deref(), Some("/tmp/b.json"));
+        assert_eq!(v.dump_dir.as_deref(), Some("/tmp/tables"));
+
+        let defaults = parse_suite_args("figures", &[]).unwrap();
         assert_eq!(defaults.scale, Scale::Paper);
         assert_eq!(defaults.jobs, 0, "0 = available parallelism");
         assert_eq!(defaults.seed, suite::DEFAULT_SEED);
 
-        let bad: Vec<String> = vec!["not-an-experiment".to_owned()];
-        assert!(parse_suite_args(&bad).is_err());
-        let bad: Vec<String> = vec!["--jobs".to_owned()];
-        assert!(parse_suite_args(&bad).is_err(), "missing value");
+        assert!(parse_suite_args("figures", &args(&["not-an-experiment"])).is_err());
+        assert!(parse_suite_args("figures", &args(&["--jobs"])).is_err(), "missing value");
+        for foreign in ["--bless", "--bench-out", "--dump-dir"] {
+            let err = parse_suite_args("figures", &args(&[foreign, "x"])).unwrap_err();
+            assert!(err.contains("`figures`") && err.contains(foreign), "{err}");
+        }
+        for foreign in ["--smoke", "--seed"] {
+            let err = parse_suite_args("verify-tables", &args(&[foreign, "5"])).unwrap_err();
+            assert!(err.contains("`verify-tables`") && err.contains(foreign), "{err}");
+        }
     }
 
     #[test]

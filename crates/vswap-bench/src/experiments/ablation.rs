@@ -228,18 +228,14 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     ExperimentPlan::new(units, |outs| outs.into_iter().flat_map(UnitOut::into_tables).collect())
 }
 
-/// Runs all ablations at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("ablate", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn smoke_ablation_suite_runs() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("ablate");
         assert_eq!(tables.len(), 6);
         for t in &tables {
             assert!(!t.rows().is_empty(), "{} must have rows", t.title());

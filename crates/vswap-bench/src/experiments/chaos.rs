@@ -94,18 +94,13 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("chaos", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn smoke_sweep_reports_faults_and_recoveries() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("chaos");
         let t = &tables[0];
         assert_eq!(t.value("none", "slowdown"), Some(1.0), "the reference row divides itself");
         assert_eq!(t.value("none", "faults"), Some(0.0), "no plan, no faults");
@@ -123,7 +118,7 @@ mod tests {
 
     #[test]
     fn transient_profile_retries_without_degrading() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("chaos");
         let t = &tables[0];
         assert!(t.value("transient", "retries").unwrap() > 0.0, "transients are retried");
         assert_eq!(t.value("transient", "degraded"), Some(0.0), "no mapping is invalidated");

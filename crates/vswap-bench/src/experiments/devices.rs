@@ -103,18 +103,13 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the device matrix at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("devices", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn smoke_write_elimination_pays_even_on_nvme() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("devices");
         assert_eq!(tables.len(), 1);
         let t = &tables[0];
         let base = t.value("nvme qd32 / baseline", "swap sectors written").unwrap();
@@ -127,7 +122,7 @@ mod tests {
 
     #[test]
     fn smoke_deep_queues_reorder_and_never_slow_the_baseline() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("devices");
         let t = &tables[0];
         let qd1 = t.value("nvme qd1 / baseline", "runtime [s]").unwrap();
         let qd32 = t.value("nvme qd32 / baseline", "runtime [s]").unwrap();

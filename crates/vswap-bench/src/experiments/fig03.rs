@@ -49,18 +49,13 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig03", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn smoke_shape_matches_paper() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("fig03");
         let t = &tables[0];
         let base = t.value("baseline", "measured [s]").unwrap();
         let balloon = t.value("balloon+base", "measured [s]").unwrap();

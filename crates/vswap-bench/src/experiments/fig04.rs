@@ -46,8 +46,3 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
         vec![table]
     })
 }
-
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig04", plan(scale), crate::suite::DEFAULT_SEED)
-}

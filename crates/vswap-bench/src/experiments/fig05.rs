@@ -62,11 +62,6 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig05", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,18 +50,13 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("fig15", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn smoke_tracked_pages_follow_the_clean_cache() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("fig15");
         let rows = tables[0].rows();
         assert!(rows.len() >= 3, "need several samples, got {}", rows.len());
         // In at least the later samples, the tracked size must be close

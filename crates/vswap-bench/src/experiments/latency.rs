@@ -92,18 +92,14 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("latency", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn smoke_distributions_are_populated_and_ordered() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("latency");
         let t = &tables[0];
         // Ballooning exists to avoid host swap, so only the unassisted
         // policies are required to show swap-in traffic.
@@ -125,7 +121,7 @@ mod tests {
 
     #[test]
     fn preventer_class_tracks_the_preventer_policies() {
-        let tables = run(Scale::Smoke);
+        let tables = smoke_tables("latency");
         let t = &tables[0];
         let without = format!("{}/prevented_write", SwapPolicy::Baseline.label());
         assert_eq!(t.value(&without, "count"), Some(0.0), "no Preventer, no buffered writes");

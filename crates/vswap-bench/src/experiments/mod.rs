@@ -28,8 +28,8 @@ pub mod tab05;
 pub enum Scale {
     /// The published experiment sizes (what `EXPERIMENTS.md` records).
     Paper,
-    /// Everything shrunk ~16× so the suite runs in seconds (integration
-    /// tests, Criterion timing benches).
+    /// Everything shrunk ~16× so the suite runs in seconds (the golden
+    /// corpus, the tests and the `vswap-perf` benchmark).
     Smoke,
 }
 

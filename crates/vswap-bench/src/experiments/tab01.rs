@@ -27,11 +27,6 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     ExperimentPlan::whole("sloc", move |_ctx| build(scale))
 }
 
-/// Runs the experiment (scale-independent).
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("tab01", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 fn build(_scale: Scale) -> Vec<Table> {
     let mapper_user = sloc(&[include_str!("../../../vswap-core/src/mapper.rs")]);
     let preventer_kernel = sloc(&[include_str!("../../../vswap-core/src/preventer.rs")]);
@@ -56,10 +51,11 @@ fn build(_scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn counts_are_nonzero() {
-        let t = &run(Scale::Smoke)[0];
+        let t = &smoke_tables("tab01")[0];
         assert!(t.value("Mapper", "policy side (QEMU analog)").unwrap() > 50.0);
         assert!(t.value("Preventer", "mechanism side (kernel analog)").unwrap() > 100.0);
     }

@@ -68,18 +68,13 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("tab02", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn smoke_disabling_the_balloon_multiplies_swap_activity() {
-        let t = &run(Scale::Smoke)[0];
+        let t = &smoke_tables("tab02")[0];
         let on = t.value("balloon enabled", "runtime [s]").unwrap();
         let off = t.value("balloon disabled", "runtime [s]").unwrap();
         let vswap = t.value("kvm + vswapper", "runtime [s]").unwrap();

@@ -81,18 +81,13 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
     })
 }
 
-/// Runs the experiment at the given scale.
-pub fn run(scale: Scale) -> Vec<Table> {
-    crate::suite::run_plan_serial("tab03", plan(scale), crate::suite::DEFAULT_SEED)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::suite::smoke_tables;
 
     #[test]
     fn smoke_overhead_is_small_with_ample_memory() {
-        let t = &run(Scale::Smoke)[0];
+        let t = &smoke_tables("tab03")[0];
         let base = t.value("pbzip2 runtime [s]", "baseline").unwrap();
         let vswap = t.value("pbzip2 runtime [s]", "vswapper").unwrap();
         assert!(

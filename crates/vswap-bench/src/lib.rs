@@ -1,16 +1,19 @@
 //! The experiment harness: one module per table/figure of the paper's
 //! evaluation (§5), plus ablations.
 //!
-//! Every experiment exposes `run(scale) -> Vec<Table>`; the `figures`
-//! binary prints them, `EXPERIMENTS.md` records them, and the Criterion
-//! benches time reduced-scale versions of the same code paths.
+//! Every experiment exposes `plan(scale) -> ExperimentPlan`, its split
+//! into independent units, and [`run_suite`] is the one way to run
+//! plans and reassemble their tables. `vswap figures` prints the
+//! tables, `vswap verify-tables` diffs them against the [`golden`]
+//! corpus, and `EXPERIMENTS.md` records them.
 //!
 //! # Scales
 //!
 //! [`Scale::Paper`] reproduces the published experiment sizes (200 MB
 //! files in 512 MB guests, ten 2 GB guests on an 8 GB host, …).
 //! [`Scale::Smoke`] shrinks everything ~16× so the full suite runs in
-//! seconds — used by integration tests and the Criterion timing benches.
+//! seconds — used by the golden corpus, the tests and the `vswap-perf`
+//! benchmark.
 
 #![warn(missing_docs)]
 
@@ -22,9 +25,6 @@ pub mod table;
 pub use experiments::Scale;
 pub use suite::{run_suite, ExperimentPlan, SuiteOptions, SuiteResult, TaskCtx};
 pub use table::Table;
-
-/// A function regenerating one experiment's tables at a given scale.
-pub type ExperimentRunner = fn(Scale) -> Vec<Table>;
 
 /// A function decomposing one experiment into parallel units.
 pub type ExperimentPlanFn = fn(Scale) -> ExperimentPlan;
@@ -38,8 +38,6 @@ pub struct SuiteExperiment {
     pub title: &'static str,
     /// Decomposes the experiment into parallel units.
     pub plan: ExperimentPlanFn,
-    /// Serial single-call form (identical output to the plan).
-    pub run: ExperimentRunner,
 }
 
 /// Every experiment in the suite, in the paper's order.
@@ -50,132 +48,102 @@ pub fn suite_experiments() -> Vec<SuiteExperiment> {
             id: "fig03",
             title: "Figure 3: sequential read of a 200MB file (best case for ballooning)",
             plan: fig03::plan,
-            run: fig03::run,
         },
         SuiteExperiment {
             id: "fig04",
             title: "Figure 4: ten phased MapReduce guests (dynamic conditions)",
             plan: fig04::plan,
-            run: fig04::run,
         },
         SuiteExperiment {
             id: "fig05",
             title: "Figure 5: pbzip2 runtime vs actual memory (over-ballooning)",
             plan: fig05::plan,
-            run: fig05::run,
         },
         SuiteExperiment {
             id: "fig09",
             title: "Figure 9: iterated Sysbench — pathology anatomy",
             plan: fig09::plan,
-            run: fig09::run,
         },
         SuiteExperiment {
             id: "fig10",
             title: "Figure 10: false-reads microbenchmark",
             plan: fig10::plan,
-            run: fig10::run,
         },
         SuiteExperiment {
             id: "fig11",
             title: "Figure 11: pbzip2 I/O and reclaim-scan counters",
             plan: fig11::plan,
-            run: fig11::run,
         },
         SuiteExperiment {
             id: "fig12",
             title: "Figure 12: Kernbench runtime and Preventer remaps",
             plan: fig12::plan,
-            run: fig12::run,
         },
         SuiteExperiment {
             id: "fig13",
             title: "Figure 13: DaCapo Eclipse runtime",
             plan: fig13::plan,
-            run: fig13::run,
         },
         SuiteExperiment {
             id: "fig14",
             title: "Figure 14: MapReduce scaling, 1-10 phased guests",
             plan: fig14::plan,
-            run: fig14::run,
         },
         SuiteExperiment {
             id: "fig15",
             title: "Figure 15: guest page cache vs Mapper-tracked pages",
             plan: fig15::plan,
-            run: fig15::run,
         },
         SuiteExperiment {
             id: "tab01",
             title: "Table 1: lines of code of the VSwapper components",
             plan: tab01::plan,
-            run: tab01::run,
         },
         SuiteExperiment {
             id: "tab02",
             title: "Table 2: foreign-hypervisor profile, balloon on/off",
             plan: tab02::plan,
-            run: tab02::run,
         },
         SuiteExperiment {
             id: "tab03",
             title: "Section 5.3: overheads when memory is plentiful",
             plan: tab03::plan,
-            run: tab03::run,
         },
-        SuiteExperiment {
-            id: "tab04",
-            title: "Section 5.4: Windows guests",
-            plan: tab04::plan,
-            run: tab04::run,
-        },
+        SuiteExperiment { id: "tab04", title: "Section 5.4: Windows guests", plan: tab04::plan },
         SuiteExperiment {
             id: "tab05",
             title: "Section 7 (implemented): VSwapper-enhanced live migration",
             plan: tab05::plan,
-            run: tab05::run,
         },
         SuiteExperiment {
             id: "ablate",
             title: "Ablations: preventer caps, readahead, reclaim preference, SSD",
             plan: ablation::plan,
-            run: ablation::run,
         },
         SuiteExperiment {
             id: "chaos",
             title: "Chaos: fault-profile sweep — slowdown and recovery counters",
             plan: chaos::plan,
-            run: chaos::run,
         },
         SuiteExperiment {
             id: "latency",
             title: "Latency: fault-lifecycle p50/p99/p999 per class and configuration",
             plan: latency::plan,
-            run: latency::run,
         },
         SuiteExperiment {
             id: "cluster",
             title: "Cluster: multi-host overcommit with live migration, 10-1000 guests",
             plan: cluster::plan,
-            run: cluster::run,
         },
         SuiteExperiment {
             id: "devices",
             title: "Devices: policy x {HDD, SSD, NVMe} x queue-depth matrix",
             plan: devices::plan,
-            run: devices::run,
         },
         SuiteExperiment {
             id: "cluster-chaos",
             title: "Cluster chaos: host crashes, brown-outs, and link failures across the fleet",
             plan: cluster_chaos::plan,
-            run: cluster_chaos::run,
         },
     ]
-}
-
-/// Every experiment in the suite as `(id, title, runner)`.
-pub fn all_experiments() -> Vec<(&'static str, &'static str, ExperimentRunner)> {
-    suite_experiments().into_iter().map(|e| (e.id, e.title, e.run)).collect()
 }

@@ -1,11 +1,11 @@
 //! Deterministic parallel execution of the experiment suite.
 //!
-//! The fifteen experiments (plus the ablations) decompose into
-//! independent *units* — one simulation apiece: a `(policy, memory)`
-//! sweep point, one multi-guest consolidation run, one migration
-//! scenario. [`run_suite`] fans those units across a worker pool and
-//! reassembles each experiment's tables in declaration order, so the
-//! output is **bitwise identical** for every worker count, including 1.
+//! The experiments decompose into independent *units* — one simulation
+//! apiece: a `(policy, memory)` sweep point, one multi-guest
+//! consolidation run, one migration scenario. [`run_suite`] fans those
+//! units across a worker pool and reassembles each experiment's tables
+//! in declaration order, so the output is **bitwise identical** for
+//! every worker count, including 1.
 //!
 //! Three properties make that guarantee hold:
 //!
@@ -245,23 +245,6 @@ fn execute_unit(
     (out, ctx.finish(), wall)
 }
 
-/// Runs a plan's units in declaration order on the calling thread and
-/// assembles the tables — the serial reference the parallel scheduler is
-/// bit-compared against. `experiments::*::run` is implemented with this,
-/// so the legacy serial API and the suite produce identical bytes.
-pub fn run_plan_serial(exp_id: &str, plan: ExperimentPlan, seed: u64) -> Vec<Table> {
-    let root = DeterministicRng::seed_from(seed);
-    let outs: Vec<UnitOut> = plan
-        .units
-        .into_iter()
-        .map(|u| {
-            let label = format!("{exp_id}/{}", u.label);
-            execute_unit(&root, &label, u).0
-        })
-        .collect();
-    (plan.assemble)(outs)
-}
-
 /// What to run and how wide.
 #[derive(Debug, Clone)]
 pub struct SuiteOptions {
@@ -318,7 +301,7 @@ pub struct ExperimentResult {
     pub id: &'static str,
     /// Human-readable title.
     pub title: &'static str,
-    /// The tables, identical to a serial `run(scale)`.
+    /// The tables, identical for every worker count.
     pub tables: Vec<Table>,
     /// Number of units the experiment split into.
     pub unit_count: usize,
@@ -387,8 +370,8 @@ pub fn events_emitted(metrics: &MetricsRegistry) -> u64 {
 }
 
 impl SuiteResult {
-    /// Renders every experiment the way `figures` prints them and the
-    /// golden corpus stores them.
+    /// Renders every experiment the way `vswap figures` prints them and
+    /// the golden corpus stores them.
     pub fn rendered(&self) -> String {
         let mut out = String::new();
         for exp in &self.experiments {
@@ -399,8 +382,8 @@ impl SuiteResult {
 }
 
 /// Renders one experiment's header and tables — the canonical textual
-/// form shared by the `figures` binary, `vswap figures`, and the golden
-/// table corpus (so golden diffs point at real output lines).
+/// form shared by `vswap figures` and the golden table corpus (so
+/// golden diffs point at real output lines).
 pub fn render_experiment(id: &str, title: &str, tables: &[Table]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -434,7 +417,7 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteResult {
     for id in &opts.only {
         assert!(
             registry.iter().any(|e| e.id == id),
-            "unknown experiment id `{id}`; run `figures` with no ids to list them"
+            "unknown experiment id `{id}`; `vswap list` lists them"
         );
     }
     let selected: Vec<_> = registry
@@ -506,35 +489,31 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteResult {
     SuiteResult { experiments, metrics, wall: begin.elapsed(), jobs }
 }
 
+/// One experiment's smoke-scale tables, run alone on one worker under
+/// the default seed: the tables its golden file holds.
+#[cfg(test)]
+pub(crate) fn smoke_tables(id: &str) -> Vec<Table> {
+    let opts = SuiteOptions::new(Scale::Smoke).with_jobs(1).with_only(vec![id.to_owned()]);
+    run_suite(&opts).experiments.pop().expect("one experiment selected").tables
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_plan() -> ExperimentPlan {
-        let units = (0..4)
-            .map(|i| {
-                Unit::new(format!("unit{i}"), move |ctx: &mut TaskCtx| {
-                    // The stream must be a stable function of the label.
-                    UnitOut::Value(ctx.rng.next_u64() as f64 + i as f64)
-                })
-            })
-            .collect();
-        ExperimentPlan::new(units, |outs| {
-            let mut t = Table::new("tiny", vec!["i", "v"]);
-            for (i, o) in outs.into_iter().enumerate() {
-                t.push(vec![format!("{i}").into(), o.into_value().into()]);
-            }
-            vec![t]
-        })
-    }
-
     #[test]
     fn serial_plan_is_deterministic() {
-        let a = run_plan_serial("tiny", tiny_plan(), 7);
-        let b = run_plan_serial("tiny", tiny_plan(), 7);
-        assert_eq!(format!("{}", a[0]), format!("{}", b[0]));
-        let c = run_plan_serial("tiny", tiny_plan(), 8);
-        assert_ne!(format!("{}", a[0]), format!("{}", c[0]), "the root seed must matter");
+        // Most experiments' tables do not change with the root seed;
+        // `latency`'s do.
+        let rendered = |seed| {
+            let opts = SuiteOptions::new(Scale::Smoke)
+                .with_jobs(1)
+                .with_seed(seed)
+                .with_only(vec!["latency".to_owned()]);
+            run_suite(&opts).rendered()
+        };
+        assert_eq!(rendered(7), rendered(7), "a root seed must repeat exactly");
+        assert_ne!(rendered(7), rendered(8), "the root seed must matter");
     }
 
     #[test]

@@ -302,9 +302,29 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError`] if the host cannot place the VM, the
-    /// guest fails to boot, or static balloon inflation OOMs the guest.
+    /// Returns [`MachineError::Config`] if the guest's kernel reservation
+    /// is not smaller than its memory or its swap partition is not smaller
+    /// than its disk, and another [`MachineError`] if the host cannot
+    /// place the VM, the guest fails to boot, or static balloon inflation
+    /// OOMs the guest.
     pub fn add_vm(&mut self, spec: VmSpec) -> Result<VmHandle, MachineError> {
+        // The two conditions `GuestKernel::new` asserts, checked before
+        // the host does any work for the VM.
+        let guest = &spec.guest;
+        if guest.kernel_pages >= guest.memory.pages() {
+            return Err(MachineError::Config(format!(
+                "guest `{}` reserves {} kernel pages but has only {} pages of memory",
+                spec.name,
+                guest.kernel_pages,
+                guest.memory.pages()
+            )));
+        }
+        if guest.swap.pages() >= guest.disk.pages() {
+            return Err(MachineError::Config(format!(
+                "guest `{}` has a {} swap partition on a {} disk; swap must be smaller",
+                spec.name, guest.swap, guest.disk
+            )));
+        }
         let id = self.host.create_vm(VmMmConfig {
             gfn_count: spec.guest.memory.pages(),
             image_pages: spec.guest.disk.pages(),
@@ -1098,6 +1118,28 @@ mod machine_tests {
         let err = m.add_vm(spec).unwrap_err();
         assert!(matches!(err, MachineError::Host(_)), "{err}");
         assert!(err.to_string().contains("disk layout full"));
+    }
+
+    #[test]
+    fn add_vm_rejects_a_guest_smaller_than_its_kernel_or_swap() {
+        let mut m =
+            Machine::new(MachineConfig::preset(SwapPolicy::Baseline).with_host(tiny_host()))
+                .unwrap();
+        let tiny = tiny_vm("g", 8, 8);
+        let no_room = tiny.clone().with_guest(GuestSpec {
+            kernel_pages: MemBytes::from_mb(8).pages(),
+            ..tiny.guest.clone()
+        });
+        let err = m.add_vm(no_room).unwrap_err();
+        assert!(matches!(err, MachineError::Config(_)), "{err}");
+        assert!(err.to_string().contains("kernel pages"), "{err}");
+        let swap_fills_disk =
+            tiny.clone().with_guest(GuestSpec { swap: tiny.guest.disk, ..tiny.guest.clone() });
+        let err = m.add_vm(swap_fills_disk).unwrap_err();
+        assert!(matches!(err, MachineError::Config(_)), "{err}");
+        assert!(err.to_string().contains("swap"), "{err}");
+        let vm = m.add_vm(tiny).expect("a guest that fits is accepted");
+        assert_eq!(vm.vm_id(), vswap_mem::VmId::new(0), "rejected guests never reach the host");
     }
 
     #[test]

@@ -46,3 +46,51 @@ fn unknown_command_fails_with_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown command"));
 }
+
+#[test]
+fn a_guest_smaller_than_its_kernel_is_a_config_error() {
+    // The Linux guest reserves 32 MB for its kernel.
+    for cmd in ["run", "trace", "migrate", "pathology"] {
+        let out = vswap(&[cmd, "--mem", "32"]);
+        assert_eq!(out.status.code(), Some(1), "`{cmd}` must fail cleanly, not panic");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("config: guest") && stderr.contains("kernel pages"), "{stderr}");
+    }
+}
+
+#[test]
+fn suite_subcommands_reject_the_options_they_ignore() {
+    let cases: [(&str, &[&str]); 5] = [
+        ("figures", &["--bless"]),
+        ("figures", &["--bench-out", "bench.json"]),
+        ("figures", &["--dump-dir", "tables"]),
+        ("verify-tables", &["--seed", "5"]),
+        ("verify-tables", &["--smoke"]),
+    ];
+    for (cmd, option) in cases {
+        let mut args = vec![cmd, "--jobs", "1"];
+        args.extend_from_slice(option);
+        args.push("tab01");
+        let out = vswap(&args);
+        assert!(!out.status.success(), "`{cmd} {}` must fail", option[0]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{cmd}` does not take {}", option[0])),
+            "the error must name the subcommand: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn figures_prints_the_golden_tables_at_every_worker_count() {
+    let golden = ["fig03", "fig15"].map(|id| vswap_bench::golden::golden(id).expect("in corpus"));
+    for jobs in ["1", "3"] {
+        let out = vswap(&["figures", "--smoke", "--jobs", jobs, "fig03", "fig15"]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            golden.concat(),
+            "stdout at --jobs {jobs} must be exactly the two golden files"
+        );
+    }
+}

@@ -2,8 +2,8 @@
 //! identical for every worker count — tables and merged metrics both.
 //!
 //! A smoke-scale subset keeps this fast enough for every `cargo test`;
-//! CI's `vswap verify-tables --jobs 2` exercises the full sixteen
-//! experiments against the golden corpus on top.
+//! CI's `vswap verify-tables --jobs 2` checks all 21 experiments
+//! against the golden corpus on top.
 
 use vswap_bench::suite::{run_suite, SuiteOptions, DEFAULT_SEED};
 use vswap_bench::Scale;
@@ -32,21 +32,20 @@ fn four_workers_match_one_worker_bitwise() {
     );
 }
 
+/// An experiment's tables do not depend on which other experiments share
+/// its `run_suite` call: the experiment unit tests and `vswap-perf` run
+/// one experiment per call and rely on this.
 #[test]
-fn suite_matches_the_legacy_serial_api() {
+fn an_experiment_run_alone_matches_its_run_in_a_subset() {
     use vswap_bench::suite::render_experiment;
     let suite = run_suite(&SuiteOptions::new(Scale::Smoke).with_jobs(4).with_only(subset()));
     for exp in &suite.experiments {
-        let legacy = vswap_bench::suite_experiments()
-            .into_iter()
-            .find(|e| e.id == exp.id)
-            .expect("registered");
-        let direct = (legacy.run)(Scale::Smoke);
+        let alone =
+            run_suite(&SuiteOptions::new(Scale::Smoke).with_jobs(1).with_only(vec![exp.id.into()]));
         assert_eq!(
             render_experiment(exp.id, exp.title, &exp.tables),
-            render_experiment(exp.id, exp.title, &direct),
-            "{}: run_suite and {}::run must agree",
-            exp.id,
+            alone.rendered(),
+            "{}: alone and in the subset must agree",
             exp.id
         );
     }
