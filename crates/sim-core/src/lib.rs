@@ -9,11 +9,8 @@
 //! * [`Clock`] — a monotonically advancing time source,
 //! * [`DeterministicRng`] — a seeded random source so every experiment is
 //!   exactly reproducible,
-//! * [`stats`] — counters, gauges, and fixed-bucket histograms used by the
-//!   pathology accounting in `vswap-core`, plus [`counters!`], which
-//!   declares each component's counter record and its [`StatSet`] keys,
-//! * [`trace`] — a bounded in-memory event trace for debugging and for the
-//!   time-series figures (e.g. Figure 15 of the paper).
+//! * [`stats`] — [`counters!`], which declares each component's counter
+//!   record, and [`StatSet`], the end-of-run snapshot reports carry.
 //!
 //! # Examples
 //!
@@ -31,10 +28,8 @@ pub mod clock;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use clock::Clock;
 pub use rng::DeterministicRng;
-pub use stats::{Counter, Gauge, Histogram, StatSet};
+pub use stats::StatSet;
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent};

@@ -4,10 +4,9 @@
 //! bit, so the whole distribution fits in a fixed array and merging two
 //! histograms is an element-wise integer sum — associative, commutative,
 //! and therefore bitwise deterministic no matter how a parallel suite
-//! partitions and reassembles its work (the same argument as
-//! `sim_core::Histogram::merge`). Percentile queries report the bucket's
-//! deterministic upper bound, so a percentile computed from a merged
-//! histogram never depends on merge order either.
+//! partitions and reassembles its work. Percentile queries report the
+//! bucket's deterministic upper bound, so a percentile computed from a
+//! merged histogram never depends on merge order either.
 //!
 //! [`LatencyBook`] keys one histogram per `(vm, class)` pair, and
 //! [`LatencyHub`] is the cheap cloneable handle components record

@@ -14,10 +14,10 @@
 //!   [`EventLog`] handle. A *disabled* log (the default) reduces every
 //!   emission site to a single branch and never constructs the event, so
 //!   instrumentation is free when no sink is attached.
-//! * [`registry`] — a **hierarchical metrics registry**
-//!   ([`MetricsRegistry`]): named, component-scoped counters and gauges,
-//!   with periodic gauge sampling into the existing [`sim_core::Trace`]
-//!   and a `scope/name` flattening for reports.
+//! * [`registry`] — a **hierarchical counter registry**
+//!   ([`MetricsRegistry`]): named, component-scoped counters with a
+//!   `scope/name` flattening, which the experiment suite keeps per unit
+//!   and merges in task order.
 //! * [`profile`] — a **simulated-time profiler** ([`Profiler`]): each
 //!   VM's runtime attributed to CPU execution, disk wait, fault handling,
 //!   or migration stall; the categories always sum to the VM's reported

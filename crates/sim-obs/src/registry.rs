@@ -1,45 +1,38 @@
-//! The hierarchical metrics registry.
+//! The hierarchical counter registry.
 //!
-//! Components report metrics under a *scope* (`"host"`, `"disk"`,
-//! `"vm0"`, ...) with a metric name inside the scope. The registry holds
-//! two metric families:
-//!
-//! * **counters** — monotone totals, absorbed wholesale from the
-//!   components' existing [`StatSet`]s or bumped individually;
-//! * **gauges** — instantaneous levels, periodically sampled into a
-//!   [`Trace`] for time-series figures.
+//! Components report counters under a *scope* (`"host"`, `"disk"`,
+//! `"fig03/baseline/host"`, ...) with a counter name inside the scope:
+//! monotone totals, absorbed wholesale from the components' [`StatSet`]s
+//! or set individually. The experiment suite keeps one registry per unit
+//! and folds them into one.
 //!
 //! Latency distributions live in [`crate::hist`], not here.
 //! [`MetricsRegistry::flatten`] renders everything into one `StatSet`
-//! with `scope/name` keys, which keeps reports and their serialization
-//! format uniform.
+//! with `scope/name` keys.
 
-use sim_core::{SimTime, StatSet, Trace};
+use sim_core::StatSet;
 use std::collections::BTreeMap;
 
-#[derive(Debug, Clone, Default)]
-struct Scope {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<&'static str, i64>,
-}
+/// One scope's counters, by name.
+type Scope = BTreeMap<String, u64>;
 
-impl Scope {
-    /// Counters sum, gauges take `other`'s level.
-    fn absorb(&mut self, other: &Scope) {
-        for (name, &value) in &other.counters {
-            if let Some(c) = self.counters.get_mut(name) {
-                *c = c.saturating_add(value);
-            } else {
-                self.counters.insert(name.clone(), value);
-            }
-        }
-        for (&name, &value) in &other.gauges {
-            self.gauges.insert(name, value);
-        }
+/// Adds `delta` to `scope[name]`, saturating.
+fn bump(scope: &mut Scope, name: &str, delta: u64) {
+    if let Some(c) = scope.get_mut(name) {
+        *c = c.saturating_add(delta);
+    } else {
+        scope.insert(name.to_string(), delta);
     }
 }
 
-/// Named, component-scoped counters and gauges.
+/// Sums every counter of `theirs` into `mine`.
+fn absorb(mine: &mut Scope, theirs: &Scope) {
+    for (name, &value) in theirs {
+        bump(mine, name, value);
+    }
+}
+
+/// Named, component-scoped counters.
 ///
 /// # Examples
 ///
@@ -48,7 +41,7 @@ impl Scope {
 ///
 /// let mut metrics = MetricsRegistry::new();
 /// metrics.counter_add("disk", "ops", 3);
-/// metrics.gauge_set("host", "free_pages", 512);
+/// metrics.counter_set("host", "free_pages", 512);
 /// let flat = metrics.flatten();
 /// assert_eq!(flat.get("disk/ops"), 3);
 /// assert_eq!(flat.get("host/free_pages"), 512);
@@ -66,24 +59,19 @@ impl MetricsRegistry {
 
     fn scope_mut(&mut self, scope: &str) -> &mut Scope {
         if !self.scopes.contains_key(scope) {
-            self.scopes.insert(scope.to_string(), Scope::default());
+            self.scopes.insert(scope.to_string(), Scope::new());
         }
         self.scopes.get_mut(scope).expect("just inserted")
     }
 
     /// Adds `delta` to the counter `scope/name`.
     pub fn counter_add(&mut self, scope: &str, name: &str, delta: u64) {
-        let s = self.scope_mut(scope);
-        if let Some(c) = s.counters.get_mut(name) {
-            *c = c.saturating_add(delta);
-        } else {
-            s.counters.insert(name.to_string(), delta);
-        }
+        bump(self.scope_mut(scope), name, delta);
     }
 
     /// Sets the counter `scope/name` to an absolute total.
     pub fn counter_set(&mut self, scope: &str, name: &str, value: u64) {
-        self.scope_mut(scope).counters.insert(name.to_string(), value);
+        self.scope_mut(scope).insert(name.to_string(), value);
     }
 
     /// Absorbs every entry of a [`StatSet`] as counters under `scope`
@@ -91,26 +79,13 @@ impl MetricsRegistry {
     pub fn absorb_stat_set(&mut self, scope: &str, stats: &StatSet) {
         let s = self.scope_mut(scope);
         for (name, value) in stats.iter() {
-            s.counters.insert(name.to_string(), value);
+            s.insert(name.to_string(), value);
         }
-    }
-
-    /// Sets the gauge `scope/name` to its current level.
-    ///
-    /// Gauge names are `'static` so they double as [`Trace`] series
-    /// labels during sampling.
-    pub fn gauge_set(&mut self, scope: &str, name: &'static str, value: i64) {
-        self.scope_mut(scope).gauges.insert(name, value);
     }
 
     /// Looks up a counter; zero when absent.
     pub fn counter(&self, scope: &str, name: &str) -> u64 {
-        self.scopes.get(scope).and_then(|s| s.counters.get(name)).copied().unwrap_or(0)
-    }
-
-    /// Looks up a gauge's latest level.
-    pub fn gauge(&self, scope: &str, name: &str) -> Option<i64> {
-        self.scopes.get(scope).and_then(|s| s.gauges.get(name)).copied()
+        self.scopes.get(scope).and_then(|s| s.get(name)).copied().unwrap_or(0)
     }
 
     /// Iterates over scope names.
@@ -118,25 +93,15 @@ impl MetricsRegistry {
         self.scopes.keys().map(String::as_str)
     }
 
-    /// Samples every gauge into `trace` at instant `at`, using the gauge
-    /// name as the series label.
-    pub fn sample_gauges_into(&self, trace: &mut Trace, at: SimTime) {
-        for scope in self.scopes.values() {
-            for (&name, &value) in &scope.gauges {
-                trace.record(at, name, value);
-            }
-        }
-    }
-
     /// Merges another registry into this one, scope by scope: counters
-    /// sum, gauges take the other registry's (latest) level.
+    /// sum.
     ///
     /// Merging is deterministic for a fixed merge order, which is how the
     /// parallel experiment suite folds per-task sinks into one registry:
     /// tasks are merged in task order, never in completion order.
     pub fn merge_from(&mut self, other: &MetricsRegistry) {
         for (scope_name, theirs) in &other.scopes {
-            self.scope_mut(scope_name).absorb(theirs);
+            absorb(self.scope_mut(scope_name), theirs);
         }
     }
 
@@ -145,7 +110,7 @@ impl MetricsRegistry {
     /// distinguishable after a suite-wide merge.
     pub fn absorb_namespaced(&mut self, prefix: &str, other: &MetricsRegistry) {
         for (scope_name, theirs) in &other.scopes {
-            self.scope_mut(&format!("{prefix}/{scope_name}")).absorb(theirs);
+            absorb(self.scope_mut(&format!("{prefix}/{scope_name}")), theirs);
         }
     }
 
@@ -154,11 +119,8 @@ impl MetricsRegistry {
     pub fn flatten(&self) -> StatSet {
         let mut flat = StatSet::new();
         for (scope, s) in &self.scopes {
-            for (name, &value) in &s.counters {
+            for (name, &value) in s {
                 flat.set(&format!("{scope}/{name}"), value);
-            }
-            for (&name, &value) in &s.gauges {
-                flat.set(&format!("{scope}/{name}"), value.max(0) as u64);
             }
         }
         flat
@@ -169,11 +131,8 @@ impl std::fmt::Display for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         for (scope, s) in &self.scopes {
             writeln!(f, "[{scope}]")?;
-            for (name, value) in &s.counters {
+            for (name, value) in s {
                 writeln!(f, "  {name:<40} {value}")?;
-            }
-            for (name, value) in &s.gauges {
-                writeln!(f, "  {name:<40} {value} (gauge)")?;
             }
         }
         Ok(())
@@ -206,33 +165,15 @@ mod tests {
     }
 
     #[test]
-    fn gauges_sample_into_trace() {
-        let mut m = MetricsRegistry::new();
-        m.gauge_set("guest", "cache_pages", 100);
-        m.gauge_set("mapper", "tracked_pages", 40);
-        let mut trace = Trace::with_capacity(8);
-        m.sample_gauges_into(&mut trace, SimTime::from_nanos(5));
-        assert_eq!(trace.series("cache_pages").count(), 1);
-        assert_eq!(trace.series("tracked_pages").count(), 1);
-        m.gauge_set("guest", "cache_pages", 90);
-        m.sample_gauges_into(&mut trace, SimTime::from_nanos(6));
-        let values: Vec<i64> = trace.series("cache_pages").map(|e| e.value).collect();
-        assert_eq!(values, vec![100, 90]);
-    }
-
-    #[test]
-    fn merge_sums_counters_and_takes_latest_gauges() {
+    fn merge_sums_counters() {
         let mut a = MetricsRegistry::new();
         a.counter_add("disk", "ops", 2);
-        a.gauge_set("host", "free", 10);
         let mut b = MetricsRegistry::new();
         b.counter_add("disk", "ops", 3);
         b.counter_add("host", "faults", 1);
-        b.gauge_set("host", "free", 7);
         a.merge_from(&b);
         assert_eq!(a.counter("disk", "ops"), 5);
         assert_eq!(a.counter("host", "faults"), 1);
-        assert_eq!(a.gauge("host", "free"), Some(7), "gauges take the merged-in level");
     }
 
     #[test]

@@ -180,9 +180,11 @@ fn bench_ept(c: &mut Criterion) {
         let mut ept = Ept::new(1 << 16);
         let mut gfn = 0u64;
         b.iter(|| {
-            let g = Gfn::new(gfn % (1 << 16));
+            let g = black_box(Gfn::new(gfn % (1 << 16)));
             ept.map(g, FrameId::new(1));
-            ept.unmap(g, Backing::None);
+            // Observe the mapping, or unmap's store makes map's dead.
+            black_box(&ept);
+            black_box(ept.unmap(g, Backing::None));
             gfn += 1;
         });
     });

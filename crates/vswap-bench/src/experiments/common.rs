@@ -2,7 +2,7 @@
 
 use super::Scale;
 use sim_core::SimDuration;
-use vswap_core::{Machine, MachineConfig, SwapPolicy, VmHandle};
+use vswap_core::{Machine, SwapPolicy, VmHandle};
 use vswap_guestos::GuestSpec;
 use vswap_hostos::HostSpec;
 use vswap_hypervisor::VmSpec;
@@ -56,15 +56,6 @@ pub fn linux_vm(scale: Scale, name: &str, mem_mb: u64, actual_mb: u64) -> VmSpec
     })
 }
 
-/// Builds a machine for one policy over the standard host.
-///
-/// # Panics
-///
-/// Panics if the host spec is inconsistent (a bug in the experiment).
-pub fn machine(policy: SwapPolicy, host: HostSpec) -> Machine {
-    Machine::new(MachineConfig::preset(policy).with_host(host)).expect("valid experiment host")
-}
-
 /// Runs the Sysbench prepare + guest-aging protocol (§3.1): creates and
 /// writes the test file, then cycles every guest frame through the page
 /// cache and drops it, so the measured iterations start against a guest
@@ -76,15 +67,6 @@ pub fn prepare_and_age(m: &mut Machine, vm: VmHandle, file_pages: u64) -> Shared
     m.launch(vm, Box::new(AgeGuest::new()));
     let _ = m.run();
     shared
-}
-
-/// A paper-vs-measured helper: "who wins" ratios used in assertions.
-pub fn ratio(a: f64, b: f64) -> f64 {
-    if b == 0.0 {
-        f64::INFINITY
-    } else {
-        a / b
-    }
 }
 
 /// Durations for MOM-managed dynamic experiments.

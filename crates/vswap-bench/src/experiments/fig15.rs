@@ -35,15 +35,12 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
             "Figure 15: guest page cache vs Mapper-tracked pages over time [MB]",
             vec!["t [s]", "page cache", "cache excl. dirty", "tracked by mapper"],
         );
-        let cache: Vec<_> = report.trace.series("guest_page_cache_pages").collect();
-        let clean: Vec<_> = report.trace.series("guest_page_cache_clean_pages").collect();
-        let tracked: Vec<_> = report.trace.series("mapper_tracked_pages").collect();
-        for ((c, cl), tr) in cache.iter().zip(&clean).zip(&tracked) {
+        for s in &report.samples {
             table.push(vec![
-                c.at.as_secs_f64().into(),
-                (c.value as f64 * 4096.0 / 1e6).into(),
-                (cl.value as f64 * 4096.0 / 1e6).into(),
-                (tr.value as f64 * 4096.0 / 1e6).into(),
+                s.at.as_secs_f64().into(),
+                (s.cache_pages as f64 * 4096.0 / 1e6).into(),
+                (s.clean_cache_pages as f64 * 4096.0 / 1e6).into(),
+                (s.tracked_pages as f64 * 4096.0 / 1e6).into(),
             ]);
         }
         vec![table]

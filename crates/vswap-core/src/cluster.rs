@@ -670,8 +670,9 @@ impl Cluster {
     ///
     /// Returns [`MachineError::Host`] if the host template is
     /// inconsistent, and [`MachineError::Config`] if `host_names` is
-    /// empty or contains duplicates, or if the scheduler's
-    /// `poll_interval` or `sustain_polls` is zero.
+    /// empty or contains duplicates, if the scheduler's `poll_interval`
+    /// or `sustain_polls` is zero, or if the machine template's sampling
+    /// interval is zero.
     pub fn new(cfg: ClusterConfig) -> Result<Self, MachineError> {
         let mut names = cfg.host_names.clone();
         names.sort();

@@ -101,8 +101,11 @@ pub struct MachineConfig {
     pub ballooning: Ballooning,
     /// Root seed for all deterministic randomness.
     pub seed: u64,
-    /// Interval at which time-series gauges are sampled into the run
-    /// trace (Figure 15); `None` disables sampling.
+    /// Interval at which each VM's guest page cache and Mapper-tracked
+    /// pages are sampled into [`RunReport::samples`] (Figure 15); `None`
+    /// disables sampling. Must not be zero.
+    ///
+    /// [`RunReport::samples`]: crate::RunReport::samples
     pub sample_interval: Option<SimDuration>,
     /// Page-type-aware paging (§7 future work, implemented): the host is
     /// hinted that each guest's kernel pages are vital and never evicts
@@ -189,8 +192,12 @@ impl MachineConfig {
         self
     }
 
-    /// Enables time-series sampling at the given interval (builder
-    /// style).
+    /// Enables Figure 15 sampling at the given interval (builder style).
+    /// A zero interval makes [`Machine::new`] return
+    /// [`MachineError::Config`].
+    ///
+    /// [`Machine::new`]: crate::Machine::new
+    /// [`MachineError::Config`]: crate::MachineError::Config
     #[must_use]
     pub fn with_sampling(mut self, interval: SimDuration) -> Self {
         self.sample_interval = Some(interval);

@@ -68,7 +68,7 @@ pub use mapper::SwapMapper;
 pub use migration::{LiveMigration, MigrationAborted, MigrationConfig, MigrationReport, NetSpec};
 pub use pathology::{Pathology, PathologyBreakdown};
 pub use preventer::{FalseReadsPreventer, PreventerConfig, PreventerStats};
-pub use report::{RunReport, VmReport};
+pub use report::{CacheSample, RunReport, VmReport};
 pub use vswap_disk::{
     ClusterFaultConfig, ClusterFaultPlan, ClusterFaultProfile, FaultConfig, FaultPlan,
     FaultProfile, LinkFault,

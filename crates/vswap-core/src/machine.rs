@@ -8,9 +8,9 @@
 use crate::config::{Ballooning, MachineConfig};
 use crate::mapper::SwapMapper;
 use crate::preventer::FalseReadsPreventer;
-use crate::report::{RunReport, VmReport};
-use sim_core::{Clock, DeterministicRng, SimDuration, SimTime, StatSet, Trace};
-use sim_obs::{Event, EventLog, LatencyHub, MetricsRegistry, Profiler, TimeCategory};
+use crate::report::{CacheSample, RunReport, VmReport};
+use sim_core::{Clock, DeterministicRng, SimDuration, SimTime};
+use sim_obs::{Event, EventLog, LatencyHub, Profiler, TimeCategory};
 use std::error::Error;
 use std::fmt;
 use vswap_guestos::{
@@ -185,15 +185,14 @@ pub struct Machine {
     balloon_manager: Option<BalloonManager>,
     vms: Vec<VmEntry>,
     rng: DeterministicRng,
-    trace: Trace,
+    /// Figure 15 samples taken so far, in time order.
+    samples: Vec<CacheSample>,
     next_sample: SimTime,
     /// Structured event sink shared with every component; disabled (and
     /// therefore free) unless [`Machine::attach_event_log`] was called.
     events: EventLog,
     /// Per-VM simulated-time attribution (CPU / disk / faults / migration).
     profiler: Profiler,
-    /// Hierarchical gauges and counters, sampled into the trace.
-    metrics: MetricsRegistry,
     /// Per-(vm, class) latency histograms shared with the host kernel and
     /// Preventer; always on (unlike the event log).
     latency: LatencyHub,
@@ -213,8 +212,13 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`MachineError::Host`] if the host spec is inconsistent.
+    /// Returns [`MachineError::Config`] if the sampling interval is zero,
+    /// and [`MachineError::Host`] if the host spec is inconsistent.
     pub fn new(cfg: MachineConfig) -> Result<Self, MachineError> {
+        if cfg.sample_interval == Some(SimDuration::ZERO) {
+            // A zero interval would never move the next sample past now.
+            return Err(MachineError::Config("the sample_interval must be positive".into()));
+        }
         let mut host = HostKernel::new(cfg.host.clone())?;
         if cfg.label_namespace != 0 {
             host.set_label_namespace(cfg.label_namespace);
@@ -248,11 +252,10 @@ impl Machine {
             host,
             vms: Vec::new(),
             rng: DeterministicRng::seed_from(cfg.seed),
-            trace: Trace::default(),
+            samples: Vec::new(),
             next_sample: SimTime::ZERO,
             events: EventLog::disabled(),
             profiler: Profiler::new(),
-            metrics: MetricsRegistry::new(),
             latency,
             cfg,
         })
@@ -290,11 +293,6 @@ impl Machine {
     /// category rows sum to the runtime its workloads were charged.
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
-    }
-
-    /// The metrics registry holding the periodically sampled gauges.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Adds (and boots) a VM. With [`Ballooning::Static`], the balloon is
@@ -436,14 +434,9 @@ impl Machine {
         &self.preventer
     }
 
-    /// The guest kernel of a VM (for probing guest gauges).
+    /// The guest kernel of a VM (for probing guest state).
     pub fn guest(&self, vm: VmHandle) -> &GuestKernel {
         &self.entry(vm.0).guest
-    }
-
-    /// The time-series trace recorded so far (Figure 15).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Number of workloads the VM has completed (or had killed) so far —
@@ -591,25 +584,18 @@ impl Machine {
 
     /// Builds the cumulative report for everything run so far.
     pub fn report(&self) -> RunReport {
-        let mut report = RunReport {
+        RunReport {
             ended_at: self.clock.now(),
             workloads: self.vms.iter().flat_map(|e| e.history.iter().cloned()).collect(),
             host: self.host.stats().to_stat_set(),
             disk: self.host.disk_stats().to_stat_set(),
             mapper: self.mapper.stats().to_stat_set(),
             preventer: self.preventer.stats().to_stat_set(),
-            trace: self.trace.clone(),
-            metrics: StatSet::new(),
+            samples: self.samples.clone(),
             profile: self.profiler.clone(),
             latency: self.latency.snapshot(),
             events_dropped: self.events.dropped(),
-        };
-        let mut metrics = self.metrics.clone();
-        for (scope, stats) in report.counter_groups() {
-            metrics.absorb_stat_set(scope, stats);
         }
-        report.metrics = metrics.flatten();
-        report
     }
 
     /// Charges externally imposed downtime (a live-migration pause) to
@@ -817,30 +803,22 @@ impl Machine {
         }
     }
 
-    /// Records time-series gauges if the sampling interval elapsed.
+    /// Takes one [`CacheSample`] per attached VM for every sampling
+    /// instant up to now. Levels are read now and stamped with each
+    /// elapsed instant.
     fn sample_if_due(&mut self) {
         let Some(interval) = self.cfg.sample_interval else { return };
         let now = self.clock.now();
         while now >= self.next_sample {
             for e in &self.vms {
-                let scope = format!("vm{}", e.id.get());
-                self.metrics.gauge_set(
-                    &scope,
-                    "guest_page_cache_pages",
-                    e.guest.cache_pages() as i64,
-                );
-                self.metrics.gauge_set(
-                    &scope,
-                    "guest_page_cache_clean_pages",
-                    e.guest.cache_clean_pages() as i64,
-                );
-                self.metrics.gauge_set(
-                    &scope,
-                    "mapper_tracked_pages",
-                    self.host.origin_len(e.id) as i64,
-                );
+                self.samples.push(CacheSample {
+                    at: self.next_sample,
+                    vm: e.id,
+                    cache_pages: e.guest.cache_pages(),
+                    clean_cache_pages: e.guest.cache_clean_pages(),
+                    tracked_pages: self.host.origin_len(e.id),
+                });
             }
-            self.metrics.sample_gauges_into(&mut self.trace, self.next_sample);
             self.next_sample += interval;
         }
     }
@@ -1234,6 +1212,53 @@ mod machine_tests {
         ] {
             assert!(json.contains(&format!("\"{key}\":0")), "missing {key} in {json}");
         }
+    }
+
+    #[test]
+    fn zero_sampling_interval_is_a_typed_config_error_not_a_hang() {
+        let cfg = MachineConfig::preset(SwapPolicy::Baseline)
+            .with_host(tiny_host())
+            .with_sampling(SimDuration::ZERO);
+        let err = Machine::new(cfg).unwrap_err();
+        assert!(matches!(err, MachineError::Config(_)), "got {err:?}");
+        assert!(err.to_string().contains("sample_interval"), "{err}");
+    }
+
+    #[test]
+    fn each_sampling_instant_has_one_sample_per_attached_vm() {
+        /// The VMs sampled at each instant, in instant order.
+        fn per_instant(samples: &[CacheSample]) -> Vec<Vec<VmId>> {
+            let mut instants: Vec<(SimTime, Vec<VmId>)> = Vec::new();
+            for s in samples {
+                match instants.last_mut() {
+                    Some((at, vms)) if *at == s.at => vms.push(s.vm),
+                    _ => instants.push((s.at, vec![s.vm])),
+                }
+            }
+            assert!(instants.windows(2).all(|w| w[0].0 < w[1].0), "instants ascend");
+            instants.into_iter().map(|(_, vms)| vms).collect()
+        }
+
+        let cfg = MachineConfig::preset(SwapPolicy::Vswapper)
+            .with_host(tiny_host())
+            .with_sampling(SimDuration::from_millis(1));
+        let mut m = Machine::new(cfg).unwrap();
+        let a = m.add_vm(tiny_vm("a", 8, 4)).unwrap();
+        let b = m.add_vm(tiny_vm("b", 8, 4)).unwrap();
+        m.launch(a, Box::new(FileScan::new(512, 2)));
+        m.launch(b, Box::new(AllocTouch::new(512, true)));
+        let both = m.run().samples;
+        let instants = per_instant(&both);
+        assert!(instants.len() > 2, "several instants, got {}", instants.len());
+        assert!(instants.iter().all(|vms| vms == &[a.vm_id(), b.vm_id()]), "{instants:?}");
+
+        let _ = m.detach_vm(b, Detach::Orderly);
+        m.launch(a, Box::new(FileScan::new(512, 2)));
+        let after = m.run().samples;
+        assert_eq!(after[..both.len()], both[..], "earlier samples are kept");
+        let instants = per_instant(&after[both.len()..]);
+        assert!(instants.len() > 2, "several instants, got {}", instants.len());
+        assert!(instants.iter().all(|vms| vms == &[a.vm_id()]), "{instants:?}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Per-run measurement reports.
 
-use sim_core::{SimDuration, SimTime, StatSet, Trace};
+use sim_core::{SimDuration, SimTime, StatSet};
 use sim_obs::json::JsonWriter;
 use sim_obs::{LatencyBook, Profiler, TimeCategory};
 use vswap_mem::VmId;
@@ -48,6 +48,22 @@ impl VmReport {
     }
 }
 
+/// One Figure 15 sample of one VM: its guest page cache against the
+/// pages the Swap Mapper tracks for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheSample {
+    /// The sampling instant, a multiple of the sampling interval.
+    pub at: SimTime,
+    /// The sampled VM.
+    pub vm: VmId,
+    /// Guest page-cache pages, dirty ones included.
+    pub cache_pages: u64,
+    /// Guest page-cache pages that are clean.
+    pub clean_cache_pages: u64,
+    /// Guest pages the Swap Mapper associates with disk-image blocks.
+    pub tracked_pages: u64,
+}
+
 /// The cumulative report of a [`Machine::run`].
 ///
 /// [`Machine::run`]: crate::Machine::run
@@ -65,10 +81,11 @@ pub struct RunReport {
     pub mapper: StatSet,
     /// False Reads Preventer counters.
     pub preventer: StatSet,
-    /// Sampled time series (Figure 15), if sampling was enabled.
-    pub trace: Trace,
-    /// Every metric of the run, flattened to `scope/name` keys.
-    pub metrics: StatSet,
+    /// Figure 15 samples in time order, one per attached VM per sampling
+    /// instant; empty unless [`MachineConfig::with_sampling`] was set.
+    ///
+    /// [`MachineConfig::with_sampling`]: crate::MachineConfig::with_sampling
+    pub samples: Vec<CacheSample>,
     /// Per-VM simulated-time attribution; each VM's category rows sum to
     /// its attributed runtime.
     pub profile: Profiler,
@@ -82,7 +99,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// The four machine-wide counter groups, each with the key it is
-    /// reported under (JSON object, metrics scope).
+    /// reported under (JSON object, suite metrics scope).
     pub fn counter_groups(&self) -> [(&'static str, &StatSet); 4] {
         [
             ("host", &self.host),
@@ -165,7 +182,6 @@ impl RunReport {
         for (key, stats) in self.counter_groups() {
             stat_object(&mut w, key, stats);
         }
-        stat_object(&mut w, "metrics", &self.metrics);
         w.key("latency");
         self.latency.write_json(&mut w);
         w.field_u64("events_dropped", self.events_dropped);
@@ -254,8 +270,7 @@ mod tests {
             disk: StatSet::new(),
             mapper: StatSet::new(),
             preventer: StatSet::new(),
-            trace: Trace::default(),
-            metrics: StatSet::new(),
+            samples: Vec::new(),
             profile: Profiler::new(),
             latency: LatencyBook::new(),
             events_dropped: 0,
@@ -326,5 +341,43 @@ mod tests {
         assert!(json.contains("\"cpu_ns\":30"));
         assert!(json.contains("\"total_ns\":42"));
         assert!(json.ends_with("}\n"));
+    }
+
+    /// The keys of a JSON object's top level, in order.
+    fn top_level_keys(json: &str) -> Vec<String> {
+        let (mut keys, mut depth) = (Vec::new(), 0);
+        let (mut string, mut last): (Option<String>, _) = (None, None);
+        let mut chars = json.chars();
+        while let Some(c) = chars.next() {
+            match (&mut string, c) {
+                (Some(s), '\\') => s.extend(chars.next()),
+                (Some(_), '"') => last = string.take(),
+                (Some(s), _) => s.push(c),
+                (None, '"') => string = Some(String::new()),
+                (None, '{' | '[') => depth += 1,
+                (None, '}' | ']') => depth -= 1,
+                (None, ':') if depth == 1 => keys.extend(last.take()),
+                (None, _) => {}
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn json_reports_each_counter_group_once() {
+        assert_eq!(
+            top_level_keys(&report(0, Vec::new(), StatSet::new()).to_json()),
+            [
+                "ended_at_ns",
+                "workloads",
+                "host",
+                "disk",
+                "mapper",
+                "preventer",
+                "latency",
+                "events_dropped",
+                "profile"
+            ]
+        );
     }
 }

@@ -161,16 +161,10 @@ impl GuestSwap {
         self.base_page + slot
     }
 
-    /// Occupied slots in `[start, start + window)`, for guest swap
-    /// readahead.
-    pub fn window(&self, start: u64, window: u64) -> Vec<(u64, GuestSlotInfo)> {
-        let end = (start + window).min(self.capacity());
-        (start..end).filter_map(|s| self.get(s).map(|i| (s, i))).collect()
-    }
-
     /// Snapshots the occupied slots of `[start, start + window)` into
-    /// `out` (cleared first) — the readahead loop mutates the partition
-    /// while it walks, so it needs a stable copy, not a borrow.
+    /// `out` (cleared first), for guest swap readahead — the readahead
+    /// loop mutates the partition while it walks, so it needs a stable
+    /// copy, not a borrow.
     pub fn window_into(&self, start: u64, window: u64, out: &mut Vec<(u64, GuestSlotInfo)>) {
         out.clear();
         let end = (start + window).min(self.capacity());
@@ -212,8 +206,9 @@ mod tests {
         swap.alloc(info(0)).unwrap();
         swap.alloc(info(1)).unwrap();
         swap.free(0);
-        let w = swap.window(0, 8);
-        assert_eq!(w.len(), 1);
+        let mut w = vec![(7, info(7))];
+        swap.window_into(0, 8, &mut w);
+        assert_eq!(w.len(), 1, "the window is cleared first");
         assert_eq!(w[0].0, 1);
     }
 }

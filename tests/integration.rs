@@ -194,6 +194,6 @@ fn trace_sampling_records_series() {
     m.run();
     m.launch(vm, Box::new(SysbenchRead::new(file)));
     let report = m.run();
-    assert!(report.trace.series("guest_page_cache_pages").count() > 2);
-    assert!(report.trace.series("mapper_tracked_pages").count() > 2);
+    assert!(report.samples.len() > 2);
+    assert!(report.samples.iter().any(|s| s.tracked_pages > 0), "the Mapper tracks pages");
 }

@@ -308,19 +308,6 @@ fn jsonl_round_trip_preserves_the_critical_path() {
     );
 }
 
-#[test]
-fn metrics_registry_flattens_component_scopes() {
-    let (m, _vm) = traced_run(SwapPolicy::Vswapper);
-    let report = m.report();
-    assert!(report.metrics.get("host/swap_outs") > 0, "host scope absorbed");
-    assert!(report.metrics.get("disk/disk_ops") > 0, "disk scope absorbed");
-    assert_eq!(
-        report.metrics.get("preventer/preventer_remaps"),
-        report.preventer.get("preventer_remaps"),
-        "flattened metrics mirror the component stat sets"
-    );
-}
-
 /// Pins every counter record's full list of report keys. Goldens render
 /// values, not keys, and `StatSet::get` reads a misspelt key as 0, so a
 /// renamed counter would otherwise go unnoticed.
