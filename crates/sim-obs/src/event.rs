@@ -1,43 +1,56 @@
 //! The structured event taxonomy: every observable action in the
 //! simulation stack, stamped with simulated time, the VM involved, and a
 //! causal sequence number.
+//!
+//! Each kind is declared once, in the `events!` invocation below: its
+//! docs, its [`Event`] variant and fields, its export name and its
+//! component. The macro derives [`EventKind`], [`EventKind::ALL`], the
+//! name and component lookups, and the field writer both export formats
+//! share. Events carry the stack's own enums: the disk model's
+//! [`IoKind`] and [`IoTag`], the fault plan's [`FaultKind`] and the
+//! Preventer's [`FlushCause`].
 
+use crate::json::JsonWriter;
 use sim_core::{SimDuration, SimTime};
+use sim_fault::FaultKind;
 
-/// Direction of a disk request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoDir {
-    /// A read from the device.
+/// Whether a disk request reads or writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum IoKind {
+    /// Data moves from disk to memory.
     Read,
-    /// A write to the device.
+    /// Data moves from memory to disk.
     Write,
 }
 
-impl IoDir {
+impl IoKind {
     /// Lower-case label used in exports.
     pub fn label(self) -> &'static str {
         match self {
-            IoDir::Read => "read",
-            IoDir::Write => "write",
+            IoKind::Read => "read",
+            IoKind::Write => "write",
         }
     }
 }
 
-/// Which on-disk region a request targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoClass {
-    /// The guest's virtual-disk image.
+/// What part of the storage stack issued a disk request; used to
+/// attribute sectors to the counters the paper reports (e.g. Figure 9d
+/// counts sectors written *to the host swap area* only).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum IoTag {
+    /// A guest virtual-disk image access (explicit guest I/O, guest swap,
+    /// or Mapper re-reads of named pages).
     GuestImage,
-    /// The host swap area.
+    /// A host swap-area access (uncooperative swapping traffic).
     HostSwap,
 }
 
-impl IoClass {
+impl IoTag {
     /// Lower-case label used in exports.
     pub fn label(self) -> &'static str {
         match self {
-            IoClass::GuestImage => "image",
-            IoClass::HostSwap => "swap",
+            IoTag::GuestImage => "image",
+            IoTag::HostSwap => "swap",
         }
     }
 }
@@ -67,123 +80,187 @@ impl FlushCause {
     }
 }
 
-/// How an injected disk fault manifests (mirrors the fault plan's
-/// taxonomy without depending on it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultTag {
-    /// A permanently bad sector (media error).
-    Latent,
-    /// A transient read/write failure.
-    Transient,
-    /// A request that exceeded its service deadline.
-    Timeout,
-    /// A multi-sector write that tore partway.
-    Torn,
-}
-
-impl FaultTag {
-    /// Lower-case label used in exports.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultTag::Latent => "latent",
-            FaultTag::Transient => "transient",
-            FaultTag::Timeout => "timeout",
-            FaultTag::Torn => "torn",
-        }
-    }
-}
-
-/// One observable action somewhere in the stack.
+/// Declares the event taxonomy. Each entry is one kind:
 ///
-/// Page numbers are raw `u64` guest frame numbers and VM identities are
-/// raw `u32`s so this crate sits below the memory substrate and every
-/// layer can emit events without dependency cycles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+/// ```text
+/// /// docs
+/// Variant = "export_name" in "component" { field: Type, ... }
+/// ```
+///
+/// and the macro generates [`Event`], [`EventKind`], [`Event::kind`],
+/// [`EventKind::ALL`] (in declaration order, which is also `EventKind`'s
+/// `Ord`), [`EventKind::name`], [`EventKind::component`] and
+/// `Event::write_fields`. Field types are single identifiers, and the
+/// `@write` rules export a field by its type: integers as numbers, a
+/// `SimDuration` as whole nanoseconds under `<field>_ns`, and any other
+/// type (the enums) by its `label()`.
+macro_rules! events {
+    (@write $w:ident, $field:ident: u64) => {
+        $w.field_u64(stringify!($field), *$field)
+    };
+    (@write $w:ident, $field:ident: u32) => {
+        $w.field_u64(stringify!($field), u64::from(*$field))
+    };
+    (@write $w:ident, $field:ident: bool) => {
+        $w.field_bool(stringify!($field), *$field)
+    };
+    (@write $w:ident, $field:ident: String) => {
+        $w.field_str(stringify!($field), $field)
+    };
+    (@write $w:ident, $field:ident: SimDuration) => {
+        $w.field_u64(concat!(stringify!($field), "_ns"), $field.as_nanos())
+    };
+    (@write $w:ident, $field:ident: $label:ident) => {
+        $w.field_str(stringify!($field), $field.label())
+    };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $name:literal in $component:literal {
+            $( $(#[$field_doc:meta])* $field:ident: $ty:ident, )*
+        }
+    )*) => {
+        /// One observable action somewhere in the stack.
+        ///
+        /// Page numbers are raw `u64` guest frame numbers and VM identities
+        /// are raw `u32`s so this crate sits below the memory substrate and
+        /// every layer can emit events without dependency cycles.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Event {
+            $( $(#[$doc])* $variant { $( $(#[$field_doc])* $field: $ty, )* }, )*
+        }
+
+        /// The fieldless discriminant of an [`Event`], for histograms and
+        /// export routing.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        pub enum EventKind {
+            $( #[doc = concat!("See [`Event::", stringify!($variant), "`].")] $variant, )*
+        }
+
+        impl Event {
+            /// Returns the event's fieldless discriminant.
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $( Event::$variant { .. } => EventKind::$variant, )*
+                }
+            }
+
+            /// Writes the event's own fields, in declaration order, into
+            /// the current object of an export.
+            pub(crate) fn write_fields(&self, w: &mut JsonWriter) {
+                match self {
+                    $( Event::$variant { $($field),* } => {
+                        $( events!(@write w, $field: $ty); )*
+                    } )*
+                }
+            }
+        }
+
+        impl EventKind {
+            /// Every kind, in export order.
+            pub const ALL: [EventKind; [$($name),*].len()] = [$(EventKind::$variant),*];
+
+            /// Stable snake_case name used in exports.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( EventKind::$variant => $name, )*
+                }
+            }
+
+            /// The component (Chrome trace "thread") the kind belongs to.
+            pub fn component(self) -> &'static str {
+                match self {
+                    $( EventKind::$variant => $component, )*
+                }
+            }
+        }
+    };
+}
+
+events! {
     /// A guest access faulted in the host (EPT violation).
-    PageFault {
+    PageFault = "page_fault" in "host-mm" {
         /// Faulting guest frame.
         gfn: u64,
         /// True for write accesses.
         write: bool,
         /// True if servicing required disk I/O (major fault).
         major: bool,
-    },
+    }
     /// The host swapped a page out to its swap area.
-    SwapOut {
+    SwapOut = "swap_out" in "host-mm" {
         /// Evicted guest frame.
         gfn: u64,
-    },
+    }
     /// The host read a page back from its swap area.
-    SwapIn {
+    SwapIn = "swap_in" in "host-mm" {
         /// Faulting guest frame.
         gfn: u64,
         /// Additional pages brought in by swap readahead.
         readahead: u64,
-    },
+    }
     /// A Mapper-named page was discarded instead of swapped out.
-    NamedDiscard {
+    NamedDiscard = "named_discard" in "mapper" {
         /// Discarded guest frame.
         gfn: u64,
-    },
+    }
     /// A Mapper-named page was refetched from the guest image.
-    NamedRefault {
+    NamedRefault = "named_refault" in "mapper" {
         /// Refaulting guest frame.
         gfn: u64,
         /// Additional pages brought in by image readahead.
         readahead: u64,
-    },
+    }
     /// The Mapper associated a guest page with a disk-image block.
-    MapperName {
+    MapperName = "mapper_name" in "mapper" {
         /// Named guest frame.
         gfn: u64,
         /// Backing image page.
         image_page: u64,
-    },
+    }
     /// The Mapper broke a page↔block association.
-    MapperUnname {
+    MapperUnname = "mapper_unname" in "mapper" {
         /// Unnamed guest frame.
         gfn: u64,
-    },
+    }
     /// The Preventer opened a write-emulation buffer for a page.
-    PreventerOpen {
+    PreventerOpen = "preventer_open" in "preventer" {
         /// Emulated guest frame.
         gfn: u64,
-    },
+    }
     /// The Preventer merged a buffer back (after a swap-in or remap).
-    PreventerFlush {
+    PreventerFlush = "preventer_flush" in "preventer" {
         /// Emulated guest frame.
         gfn: u64,
         /// Why the merge happened.
         cause: FlushCause,
-    },
+    }
     /// The Preventer dropped a buffer without any disk read — a false
     /// read prevented outright.
-    PreventerDiscard {
+    PreventerDiscard = "preventer_discard" in "preventer" {
         /// Emulated guest frame.
         gfn: u64,
-    },
+    }
     /// A guest balloon grew by `pages`.
-    BalloonInflate {
+    BalloonInflate = "balloon_inflate" in "balloon" {
         /// Pages newly pinned.
         pages: u64,
-    },
+    }
     /// A guest balloon shrank by `pages`.
-    BalloonDeflate {
+    BalloonDeflate = "balloon_deflate" in "balloon" {
         /// Pages released back to the guest.
         pages: u64,
-    },
+    }
     /// The balloon manager posted a new target for a VM.
-    BalloonTarget {
+    BalloonTarget = "balloon_target" in "balloon" {
         /// Requested balloon size in pages.
         target_pages: u64,
-    },
+    }
     /// A disk request was issued.
-    DiskIssue {
+    DiskIssue = "disk_issue" in "disk" {
         /// Transfer direction.
-        dir: IoDir,
+        dir: IoKind,
         /// Targeted region.
-        class: IoClass,
+        class: IoTag,
         /// First sector.
         sector: u64,
         /// Transfer length in sectors.
@@ -191,15 +268,15 @@ pub enum Event {
         /// Hardware queue the command landed on (0 on single-queue
         /// devices).
         queue: u32,
-    },
+    }
     /// A disk request completed. The `[at - latency, at]` window is the
     /// command's residency on its queue; the Chrome export renders it as
     /// a slice on a per-queue lane.
-    DiskComplete {
+    DiskComplete = "disk_complete" in "disk" {
         /// Transfer direction.
-        dir: IoDir,
+        dir: IoKind,
         /// Targeted region.
-        class: IoClass,
+        class: IoTag,
         /// First sector.
         sector: u64,
         /// Transfer length in sectors.
@@ -210,286 +287,93 @@ pub enum Event {
         sequential: bool,
         /// Hardware queue the command was serviced on.
         queue: u32,
-    },
+    }
     /// The fault plan failed a disk request.
-    DiskFault {
+    DiskFault = "disk_fault" in "disk" {
         /// Transfer direction.
-        dir: IoDir,
+        dir: IoKind,
         /// Targeted region.
-        class: IoClass,
+        class: IoTag,
         /// First faulting sector.
         sector: u64,
         /// How the fault manifested.
-        fault: FaultTag,
+        fault: FaultKind,
         /// Hardware queue the command occupied while it failed.
         queue: u32,
-    },
+    }
     /// The virtual-disk frontend is retrying a failed request after a
     /// backoff in simulated time.
-    IoRetry {
+    IoRetry = "io_retry" in "disk" {
         /// Retry number (1 = first retry).
         attempt: u32,
         /// Backoff charged before the retry.
         backoff: SimDuration,
-    },
+    }
     /// A Mapper association was invalidated because its backing block
     /// errored out; the page degrades to anonymous host swap.
-    MapperDegraded {
+    MapperDegraded = "mapper_degraded" in "mapper" {
         /// Affected guest frame.
         gfn: u64,
         /// The no-longer-trusted backing image page.
         image_page: u64,
-    },
+    }
     /// A host reclaim pass scanned page lists.
-    ReclaimScan {
+    ReclaimScan = "reclaim_scan" in "host-mm" {
         /// Frames examined.
         scanned: u64,
         /// Frames freed.
         reclaimed: u64,
-    },
+    }
     /// The guest swapped anonymous pages to its own swap partition.
-    GuestSwapOut {
+    GuestSwapOut = "guest_swap_out" in "guest" {
         /// Pages written out.
         pages: u64,
-    },
+    }
     /// The guest swapped anonymous pages back in.
-    GuestSwapIn {
+    GuestSwapIn = "guest_swap_in" in "guest" {
         /// Pages read back.
         pages: u64,
-    },
+    }
     /// A workload began executing on a VM.
-    WorkloadStarted {
+    WorkloadStarted = "workload_started" in "machine" {
         /// Workload name.
         name: String,
-    },
+    }
     /// A workload finished (or was killed).
-    WorkloadFinished {
+    WorkloadFinished = "workload_finished" in "machine" {
         /// Total simulated runtime.
         runtime: SimDuration,
         /// True if the guest OOM killer terminated it.
         killed: bool,
-    },
+    }
     /// One pre-copy round of a live migration completed.
-    MigrationRound {
+    MigrationRound = "migration_round" in "machine" {
         /// Round number (0-based).
         round: u32,
         /// Pages copied this round.
         copied: u64,
-    },
+    }
     /// An in-flight live migration lost its link and rolled back to the
     /// source host.
-    MigrationAbort {
+    MigrationAbort = "migration_abort" in "machine" {
         /// The pre-copy round the link dropped in (0-based).
         round: u32,
         /// Pre-copy bytes wasted by the aborted attempt.
         wasted_bytes: u64,
-    },
+    }
     /// A host fail-stopped; its guests are being evacuated.
-    HostCrash {
+    HostCrash = "host_crash" in "machine" {
         /// Guests resident on the host at crash time.
         guests: u64,
-    },
+    }
     /// One guest was evacuated off a crashed host.
-    Evacuation {
+    Evacuation = "evacuation" in "machine" {
         /// Pages recovered as Mapper block references or swap-slot
         /// records (nothing was lost).
         recovered_pages: u64,
         /// Resident pages whose only copy was the crashed host's DRAM;
         /// the guest re-faults them.
         refaulted_pages: u64,
-    },
-}
-
-/// The fieldless discriminant of an [`Event`], for histograms and export
-/// routing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EventKind {
-    /// See [`Event::PageFault`].
-    PageFault,
-    /// See [`Event::SwapOut`].
-    SwapOut,
-    /// See [`Event::SwapIn`].
-    SwapIn,
-    /// See [`Event::NamedDiscard`].
-    NamedDiscard,
-    /// See [`Event::NamedRefault`].
-    NamedRefault,
-    /// See [`Event::MapperName`].
-    MapperName,
-    /// See [`Event::MapperUnname`].
-    MapperUnname,
-    /// See [`Event::PreventerOpen`].
-    PreventerOpen,
-    /// See [`Event::PreventerFlush`].
-    PreventerFlush,
-    /// See [`Event::PreventerDiscard`].
-    PreventerDiscard,
-    /// See [`Event::BalloonInflate`].
-    BalloonInflate,
-    /// See [`Event::BalloonDeflate`].
-    BalloonDeflate,
-    /// See [`Event::BalloonTarget`].
-    BalloonTarget,
-    /// See [`Event::DiskIssue`].
-    DiskIssue,
-    /// See [`Event::DiskComplete`].
-    DiskComplete,
-    /// See [`Event::DiskFault`].
-    DiskFault,
-    /// See [`Event::IoRetry`].
-    IoRetry,
-    /// See [`Event::MapperDegraded`].
-    MapperDegraded,
-    /// See [`Event::ReclaimScan`].
-    ReclaimScan,
-    /// See [`Event::GuestSwapOut`].
-    GuestSwapOut,
-    /// See [`Event::GuestSwapIn`].
-    GuestSwapIn,
-    /// See [`Event::WorkloadStarted`].
-    WorkloadStarted,
-    /// See [`Event::WorkloadFinished`].
-    WorkloadFinished,
-    /// See [`Event::MigrationRound`].
-    MigrationRound,
-    /// See [`Event::MigrationAbort`].
-    MigrationAbort,
-    /// See [`Event::HostCrash`].
-    HostCrash,
-    /// See [`Event::Evacuation`].
-    Evacuation,
-}
-
-impl Event {
-    /// Returns the event's fieldless discriminant.
-    pub fn kind(&self) -> EventKind {
-        match self {
-            Event::PageFault { .. } => EventKind::PageFault,
-            Event::SwapOut { .. } => EventKind::SwapOut,
-            Event::SwapIn { .. } => EventKind::SwapIn,
-            Event::NamedDiscard { .. } => EventKind::NamedDiscard,
-            Event::NamedRefault { .. } => EventKind::NamedRefault,
-            Event::MapperName { .. } => EventKind::MapperName,
-            Event::MapperUnname { .. } => EventKind::MapperUnname,
-            Event::PreventerOpen { .. } => EventKind::PreventerOpen,
-            Event::PreventerFlush { .. } => EventKind::PreventerFlush,
-            Event::PreventerDiscard { .. } => EventKind::PreventerDiscard,
-            Event::BalloonInflate { .. } => EventKind::BalloonInflate,
-            Event::BalloonDeflate { .. } => EventKind::BalloonDeflate,
-            Event::BalloonTarget { .. } => EventKind::BalloonTarget,
-            Event::DiskIssue { .. } => EventKind::DiskIssue,
-            Event::DiskComplete { .. } => EventKind::DiskComplete,
-            Event::DiskFault { .. } => EventKind::DiskFault,
-            Event::IoRetry { .. } => EventKind::IoRetry,
-            Event::MapperDegraded { .. } => EventKind::MapperDegraded,
-            Event::ReclaimScan { .. } => EventKind::ReclaimScan,
-            Event::GuestSwapOut { .. } => EventKind::GuestSwapOut,
-            Event::GuestSwapIn { .. } => EventKind::GuestSwapIn,
-            Event::WorkloadStarted { .. } => EventKind::WorkloadStarted,
-            Event::WorkloadFinished { .. } => EventKind::WorkloadFinished,
-            Event::MigrationRound { .. } => EventKind::MigrationRound,
-            Event::MigrationAbort { .. } => EventKind::MigrationAbort,
-            Event::HostCrash { .. } => EventKind::HostCrash,
-            Event::Evacuation { .. } => EventKind::Evacuation,
-        }
-    }
-}
-
-impl EventKind {
-    /// Every kind, in export order.
-    pub const ALL: [EventKind; 27] = [
-        EventKind::PageFault,
-        EventKind::SwapOut,
-        EventKind::SwapIn,
-        EventKind::NamedDiscard,
-        EventKind::NamedRefault,
-        EventKind::MapperName,
-        EventKind::MapperUnname,
-        EventKind::PreventerOpen,
-        EventKind::PreventerFlush,
-        EventKind::PreventerDiscard,
-        EventKind::BalloonInflate,
-        EventKind::BalloonDeflate,
-        EventKind::BalloonTarget,
-        EventKind::DiskIssue,
-        EventKind::DiskComplete,
-        EventKind::DiskFault,
-        EventKind::IoRetry,
-        EventKind::MapperDegraded,
-        EventKind::ReclaimScan,
-        EventKind::GuestSwapOut,
-        EventKind::GuestSwapIn,
-        EventKind::WorkloadStarted,
-        EventKind::WorkloadFinished,
-        EventKind::MigrationRound,
-        EventKind::MigrationAbort,
-        EventKind::HostCrash,
-        EventKind::Evacuation,
-    ];
-
-    /// Stable snake_case name used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::PageFault => "page_fault",
-            EventKind::SwapOut => "swap_out",
-            EventKind::SwapIn => "swap_in",
-            EventKind::NamedDiscard => "named_discard",
-            EventKind::NamedRefault => "named_refault",
-            EventKind::MapperName => "mapper_name",
-            EventKind::MapperUnname => "mapper_unname",
-            EventKind::PreventerOpen => "preventer_open",
-            EventKind::PreventerFlush => "preventer_flush",
-            EventKind::PreventerDiscard => "preventer_discard",
-            EventKind::BalloonInflate => "balloon_inflate",
-            EventKind::BalloonDeflate => "balloon_deflate",
-            EventKind::BalloonTarget => "balloon_target",
-            EventKind::DiskIssue => "disk_issue",
-            EventKind::DiskComplete => "disk_complete",
-            EventKind::DiskFault => "disk_fault",
-            EventKind::IoRetry => "io_retry",
-            EventKind::MapperDegraded => "mapper_degraded",
-            EventKind::ReclaimScan => "reclaim_scan",
-            EventKind::GuestSwapOut => "guest_swap_out",
-            EventKind::GuestSwapIn => "guest_swap_in",
-            EventKind::WorkloadStarted => "workload_started",
-            EventKind::WorkloadFinished => "workload_finished",
-            EventKind::MigrationRound => "migration_round",
-            EventKind::MigrationAbort => "migration_abort",
-            EventKind::HostCrash => "host_crash",
-            EventKind::Evacuation => "evacuation",
-        }
-    }
-
-    /// The component (Chrome trace "thread") the kind belongs to.
-    pub fn component(self) -> &'static str {
-        match self {
-            EventKind::PageFault
-            | EventKind::SwapOut
-            | EventKind::SwapIn
-            | EventKind::ReclaimScan => "host-mm",
-            EventKind::NamedDiscard
-            | EventKind::NamedRefault
-            | EventKind::MapperName
-            | EventKind::MapperUnname
-            | EventKind::MapperDegraded => "mapper",
-            EventKind::PreventerOpen | EventKind::PreventerFlush | EventKind::PreventerDiscard => {
-                "preventer"
-            }
-            EventKind::BalloonInflate | EventKind::BalloonDeflate | EventKind::BalloonTarget => {
-                "balloon"
-            }
-            EventKind::DiskIssue
-            | EventKind::DiskComplete
-            | EventKind::DiskFault
-            | EventKind::IoRetry => "disk",
-            EventKind::GuestSwapOut | EventKind::GuestSwapIn => "guest",
-            EventKind::WorkloadStarted
-            | EventKind::WorkloadFinished
-            | EventKind::MigrationRound
-            | EventKind::MigrationAbort
-            | EventKind::HostCrash
-            | EventKind::Evacuation => "machine",
-        }
     }
 }
 

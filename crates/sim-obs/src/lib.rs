@@ -8,12 +8,16 @@
 //! * [`event`] / [`log`] — a **structured event log**: a typed [`Event`]
 //!   taxonomy (page faults, swap-in/out, Mapper name/unname, Preventer
 //!   buffer open/flush/discard, balloon inflate/deflate, disk request
-//!   issue/complete, reclaim scans, ...), each record stamped with
-//!   [`sim_core::SimTime`], the VM involved, and a causal sequence
-//!   number, held in a bounded ring buffer behind the cheaply cloneable
-//!   [`EventLog`] handle. A *disabled* log (the default) reduces every
-//!   emission site to a single branch and never constructs the event, so
-//!   instrumentation is free when no sink is attached.
+//!   issue/complete/fault, reclaim scans, migrations, ...), each record
+//!   stamped with [`sim_core::SimTime`], the VM involved, and a causal
+//!   sequence number, held in a bounded ring buffer behind the cheaply
+//!   cloneable [`EventLog`] handle. A *disabled* log (the default)
+//!   reduces every emission site to a single branch and never constructs
+//!   the event, so instrumentation is free when no sink is attached.
+//!   Each kind is declared once, with its fields, export name and
+//!   component; events carry the stack's own enums ([`IoKind`],
+//!   [`IoTag`], [`FlushCause`] and `sim_fault`'s `FaultKind`, which is
+//!   why this crate depends on `sim-fault`).
 //! * [`registry`] — a **hierarchical counter registry**
 //!   ([`MetricsRegistry`]): named, component-scoped counters with a
 //!   `scope/name` flattening, which the experiment suite keeps per unit
@@ -60,7 +64,7 @@ pub mod profile;
 pub mod registry;
 pub mod span;
 
-pub use event::{Event, EventKind, EventRecord, FaultTag, FlushCause, IoClass, IoDir};
+pub use event::{Event, EventKind, EventRecord, FlushCause, IoKind, IoTag};
 pub use export::TraceFormat;
 pub use hist::{LatencyBook, LatencyClass, LatencyHist, LatencyHub};
 pub use log::EventLog;

@@ -5,10 +5,14 @@
 //! the per-fault building blocks whose cost bounds pages-simulated/sec;
 //! the suite-level numbers come from the `vswap-perf` benchmark. The
 //! `construction` group times the per-guest tables a machine builds for
-//! every VM, so an eager per-page fill shows up at its own layer.
+//! every VM, so an eager per-page fill shows up at its own layer. The
+//! `events` group prices event emission: the branch a disabled log costs
+//! at every instrumented site, a ring-buffer emit, and one record's
+//! JSONL export.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sim_core::SimTime;
+use sim_core::{SimDuration, SimTime};
+use sim_obs::{export, Event, EventLog};
 use std::hint::black_box;
 use vswap_bench::experiments::common;
 use vswap_bench::Scale;
@@ -191,6 +195,51 @@ fn bench_ept(c: &mut Criterion) {
     group.finish();
 }
 
+/// A disk completion: the kind a traced run emits most often.
+fn disk_complete(sector: u64) -> Event {
+    Event::DiskComplete {
+        dir: IoKind::Read,
+        class: IoTag::HostSwap,
+        sector,
+        sectors: 8,
+        latency: SimDuration::from_micros(4),
+        sequential: false,
+        queue: 0,
+    }
+}
+
+fn bench_events(c: &mut Criterion) {
+    let mut group = c.benchmark_group("events");
+    group.bench_function("emit_disabled", |b| {
+        let log = EventLog::disabled();
+        let mut sector = 0u64;
+        b.iter(|| {
+            black_box(&log).emit_with(SimTime::ZERO, None, || disk_complete(sector));
+            sector += 8;
+        });
+    });
+    group.bench_function("emit_ring", |b| {
+        let log = EventLog::bounded(1024);
+        for sector in 0..1024 {
+            log.emit(SimTime::ZERO, None, disk_complete(sector));
+        }
+        // The ring is full: each emit below overwrites the oldest record.
+        let mut sector = 0u64;
+        b.iter(|| {
+            log.emit_with(SimTime::from_nanos(sector), None, || disk_complete(black_box(sector)));
+            sector += 8;
+        });
+        assert!(log.dropped() > 0, "the ring must have wrapped");
+    });
+    group.bench_function("export_jsonl", |b| {
+        let log = EventLog::bounded(1);
+        log.emit(SimTime::from_nanos(9_000), None, disk_complete(800));
+        let records = log.records();
+        b.iter(|| black_box(export::to_jsonl_records(black_box(&records))));
+    });
+    group.finish();
+}
+
 fn bench_host_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("host-kernel");
     group.sample_size(20);
@@ -279,6 +328,7 @@ criterion_group!(
     bench_construction,
     bench_disk,
     bench_ept,
+    bench_events,
     bench_host_paths
 );
 criterion_main!(benches);

@@ -17,7 +17,7 @@ pub const FOUR_CONFIGS: [SwapPolicy; 4] = [
     SwapPolicy::BalloonVswapper,
 ];
 
-/// Baseline / mapper / vswapper / balloon — the §5.1 figure-5/11/12/13
+/// Baseline / mapper / vswapper / balloon — the §5.1 figure-5/10/11/12/13
 /// line-up.
 pub const SWEEP_CONFIGS: [SwapPolicy; 4] = [
     SwapPolicy::Baseline,

@@ -6,27 +6,19 @@
 //! uncooperative configurations (baseline, mapper, vswapper) keep the
 //! job alive at every size.
 
+use super::common::SWEEP_CONFIGS;
 use super::fig11::run_point;
 use super::Scale;
 use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
 use crate::table::{Cell, Table};
-use vswap_core::SwapPolicy;
 
 /// The actual-memory points of Figure 5 (MB).
 pub const SWEEP_MB: [u64; 3] = [512, 240, 128];
 
-/// The four lines of Figure 5.
-pub const CONFIGS: [SwapPolicy; 4] = [
-    SwapPolicy::Baseline,
-    SwapPolicy::MapperOnly,
-    SwapPolicy::Vswapper,
-    SwapPolicy::BalloonBaseline,
-];
-
 /// One unit per `(policy, actual-MB)` point of the over-ballooning sweep.
 pub fn plan(scale: Scale) -> ExperimentPlan {
     let mut units = Vec::new();
-    for policy in CONFIGS {
+    for policy in SWEEP_CONFIGS {
         for &mb in &SWEEP_MB {
             units.push(Unit::new(
                 format!("{}/{mb}MB", policy.label()),
@@ -50,7 +42,7 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
             cols.iter().map(String::as_str).collect(),
         );
         let mut outs = outs.into_iter();
-        for policy in CONFIGS {
+        for policy in SWEEP_CONFIGS {
             let mut row = vec![Cell::from(policy.label())];
             for _ in &SWEEP_MB {
                 let mut cells = outs.next().expect("one output per unit").into_cells();
@@ -65,6 +57,7 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vswap_core::SwapPolicy;
 
     fn ctx(label: &str) -> TaskCtx {
         TaskCtx::standalone(crate::suite::DEFAULT_SEED, label)

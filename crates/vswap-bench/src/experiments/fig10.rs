@@ -9,7 +9,7 @@
 //! that "enabling the Preventer more than doubles the performance",
 //! tightly correlated with disk operations.
 
-use super::common::{host, linux_vm, prepare_and_age};
+use super::common::{host, linux_vm, prepare_and_age, SWEEP_CONFIGS};
 use super::Scale;
 use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
 use crate::table::{Cell, Table};
@@ -17,14 +17,6 @@ use vswap_core::{RunReport, SwapPolicy};
 use vswap_mem::MemBytes;
 use vswap_workloads::alloctouch::{AccessMode, AllocStream};
 use vswap_workloads::SysbenchRead;
-
-/// The four bars of Figure 10.
-pub const CONFIGS: [SwapPolicy; 4] = [
-    SwapPolicy::Baseline,
-    SwapPolicy::MapperOnly,
-    SwapPolicy::Vswapper,
-    SwapPolicy::BalloonBaseline,
-];
 
 /// Runs one configuration; returns (runtime seconds, disk ops during the
 /// microbenchmark, killed, report).
@@ -54,7 +46,7 @@ pub fn run_config(
 
 /// One unit per configuration bar.
 pub fn plan(scale: Scale) -> ExperimentPlan {
-    let units = CONFIGS
+    let units = SWEEP_CONFIGS
         .iter()
         .map(|&policy| {
             Unit::new(policy.label(), move |ctx: &mut TaskCtx| {
@@ -72,7 +64,7 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
             "Figure 10: alloc+touch 200MB after the file read — runtime and disk ops ('-' = killed)",
             vec!["config", "runtime [s]", "disk ops [thousands]", "false swap reads"],
         );
-        for (policy, out) in CONFIGS.iter().zip(outs) {
+        for (policy, out) in SWEEP_CONFIGS.iter().zip(outs) {
             let mut row = vec![Cell::from(policy.label())];
             row.extend(out.into_cells());
             table.push(row);

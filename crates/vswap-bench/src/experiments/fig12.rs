@@ -7,7 +7,7 @@
 //! * (b) Preventer remaps — up to 80 K false reads eliminated as
 //!   compiler processes zero their address spaces over recycled frames.
 
-use super::common::{host, linux_vm};
+use super::common::{host, linux_vm, SWEEP_CONFIGS};
 use super::Scale;
 use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
 use crate::table::{Cell, Table};
@@ -18,14 +18,6 @@ use vswap_workloads::kernbench::{Kernbench, KernbenchConfig};
 
 /// The actual-memory sweep of Figure 12 (MB).
 pub const SWEEP_MB: [u64; 5] = [512, 448, 384, 256, 192];
-
-/// The four lines of Figure 12a.
-pub const CONFIGS: [SwapPolicy; 4] = [
-    SwapPolicy::Baseline,
-    SwapPolicy::MapperOnly,
-    SwapPolicy::Vswapper,
-    SwapPolicy::BalloonBaseline,
-];
 
 /// The kernbench workload at a given scale.
 pub fn workload(scale: Scale) -> KernbenchConfig {
@@ -69,7 +61,7 @@ pub fn run_point(
 /// One unit per `(policy, actual-MB)` point of the Kernbench sweep.
 pub fn plan(scale: Scale) -> ExperimentPlan {
     let mut units = Vec::new();
-    for policy in CONFIGS {
+    for policy in SWEEP_CONFIGS {
         for &mb in &SWEEP_MB {
             units.push(Unit::new(
                 format!("{}/{mb}MB", policy.label()),
@@ -96,7 +88,7 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
             cols.iter().map(String::as_str).collect(),
         );
         let mut outs = outs.into_iter();
-        for policy in CONFIGS {
+        for policy in SWEEP_CONFIGS {
             let mut rt_row = vec![Cell::from(policy.label())];
             let mut rm_row = vec![Cell::from(policy.label())];
             for _ in &SWEEP_MB {

@@ -7,7 +7,7 @@
 //! allocated memory is smaller than 448MB"; the uncooperative
 //! configurations never kill it.
 
-use super::common::{host, linux_vm};
+use super::common::{host, linux_vm, SWEEP_CONFIGS};
 use super::Scale;
 use crate::suite::{ExperimentPlan, TaskCtx, Unit, UnitOut};
 use crate::table::{Cell, Table};
@@ -18,14 +18,6 @@ use vswap_workloads::eclipse::{Eclipse, EclipseConfig};
 
 /// The actual-memory sweep of Figure 13 (MB).
 pub const SWEEP_MB: [u64; 5] = [512, 448, 384, 320, 256];
-
-/// The four lines of Figure 13.
-pub const CONFIGS: [SwapPolicy; 4] = [
-    SwapPolicy::Baseline,
-    SwapPolicy::MapperOnly,
-    SwapPolicy::Vswapper,
-    SwapPolicy::BalloonBaseline,
-];
 
 /// The Eclipse workload at a given scale.
 pub fn workload(scale: Scale) -> EclipseConfig {
@@ -68,7 +60,7 @@ pub fn run_point(
 /// One unit per `(policy, actual-MB)` point of the Eclipse sweep.
 pub fn plan(scale: Scale) -> ExperimentPlan {
     let mut units = Vec::new();
-    for policy in CONFIGS {
+    for policy in SWEEP_CONFIGS {
         for &mb in &SWEEP_MB {
             units.push(Unit::new(
                 format!("{}/{mb}MB", policy.label()),
@@ -88,7 +80,7 @@ pub fn plan(scale: Scale) -> ExperimentPlan {
             cols.iter().map(String::as_str).collect(),
         );
         let mut outs = outs.into_iter();
-        for policy in CONFIGS {
+        for policy in SWEEP_CONFIGS {
             let mut row = vec![Cell::from(policy.label())];
             for _ in &SWEEP_MB {
                 let mut cells = outs.next().expect("one output per unit").into_cells();

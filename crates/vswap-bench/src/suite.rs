@@ -225,11 +225,6 @@ impl ExperimentPlan {
             outs.remove(0).into_tables()
         })
     }
-
-    /// Number of units in the plan.
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
-    }
 }
 
 /// Runs one unit with its own context and sinks.

@@ -424,16 +424,6 @@ impl Machine {
         &mut self.host
     }
 
-    /// The Swap Mapper.
-    pub fn mapper(&self) -> &SwapMapper {
-        &self.mapper
-    }
-
-    /// The False Reads Preventer.
-    pub fn preventer(&self) -> &FalseReadsPreventer {
-        &self.preventer
-    }
-
     /// The guest kernel of a VM (for probing guest state).
     pub fn guest(&self, vm: VmHandle) -> &GuestKernel {
         &self.entry(vm.0).guest

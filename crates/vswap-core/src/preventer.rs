@@ -76,15 +76,6 @@ struct Emulation {
     label: ContentLabel,
 }
 
-/// Why a merge was forced; selects the statistic to bump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MergeCause {
-    Timeout,
-    Capacity,
-    GuestRead,
-    HostAccess,
-}
-
 /// The False Reads Preventer. Driven by the machine bus on every guest
 /// memory operation; owns at most [`PreventerConfig::max_pages`] buffered
 /// emulations at a time.
@@ -227,7 +218,7 @@ impl FalseReadsPreventer {
             self.emus.iter().position(|e| now.saturating_since(e.first_write) >= self.cfg.timeout)
         {
             let emu = self.take_emu(pos);
-            cost += self.merge(host, now + cost, emu, MergeCause::Timeout);
+            cost += self.merge(host, now + cost, emu, FlushCause::Timeout);
         }
         // Tighten the bound to the survivors' true minimum so the next
         // fast-path check is exact.
@@ -336,7 +327,7 @@ impl FalseReadsPreventer {
             .position(|e| e.vm == vm && e.gfn == gfn)
             .expect("marked pages have an emulation");
         let emu = self.take_emu(pos);
-        self.merge(host, now, emu, MergeCause::GuestRead)
+        self.merge(host, now, emu, FlushCause::GuestRead)
     }
 
     /// Host code (QEMU) is about to access `gfn` (virtual disk I/O): the
@@ -358,7 +349,7 @@ impl FalseReadsPreventer {
             .position(|e| e.vm == vm && e.gfn == gfn)
             .expect("marked pages have an emulation");
         let emu = self.take_emu(pos);
-        self.merge(host, now, emu, MergeCause::HostAccess)
+        self.merge(host, now, emu, FlushCause::HostAccess)
     }
 
     /// The page under an emulation was released (balloon inflation):
@@ -412,7 +403,7 @@ impl FalseReadsPreventer {
         let mut cost = SimDuration::ZERO;
         while let Some(pos) = self.emus.iter().position(|e| e.vm == vm) {
             let emu = self.take_emu(pos);
-            cost += self.merge(host, now + cost, emu, MergeCause::HostAccess);
+            cost += self.merge(host, now + cost, emu, FlushCause::HostAccess);
         }
         cost
     }
@@ -422,7 +413,7 @@ impl FalseReadsPreventer {
         let mut cost = SimDuration::ZERO;
         while let Some(emu) = self.emus.pop() {
             self.mark(emu.vm, emu.gfn, false);
-            cost += self.merge(host, now + cost, emu, MergeCause::Timeout);
+            cost += self.merge(host, now + cost, emu, FlushCause::Timeout);
         }
         cost
     }
@@ -440,7 +431,7 @@ impl FalseReadsPreventer {
             .map(|(i, _)| i)
             .expect("table is full");
         let emu = self.take_emu(oldest);
-        self.merge(host, now, emu, MergeCause::Capacity)
+        self.merge(host, now, emu, FlushCause::Capacity)
     }
 
     /// Fetches the old content behind the emulated page and installs the
@@ -451,7 +442,7 @@ impl FalseReadsPreventer {
         host: &mut HostKernel,
         now: SimTime,
         emu: Emulation,
-        cause: MergeCause,
+        cause: FlushCause,
     ) -> SimDuration {
         // Swap readahead may have mapped the page behind the emulation's
         // back; then the old bytes are already in memory and no read is
@@ -469,19 +460,14 @@ impl FalseReadsPreventer {
             now.saturating_since(emu.first_write),
         );
         match cause {
-            MergeCause::Timeout => self.stats.timeouts += 1,
-            MergeCause::Capacity => self.stats.capacity_evictions += 1,
-            MergeCause::GuestRead => self.stats.read_merges += 1,
-            MergeCause::HostAccess => {}
+            FlushCause::Timeout => self.stats.timeouts += 1,
+            FlushCause::Capacity => self.stats.capacity_evictions += 1,
+            FlushCause::GuestRead => self.stats.read_merges += 1,
+            FlushCause::HostAccess => {}
         }
         self.events.emit_with(now, Some(emu.vm.get()), || Event::PreventerFlush {
             gfn: emu.gfn.get(),
-            cause: match cause {
-                MergeCause::Timeout => FlushCause::Timeout,
-                MergeCause::Capacity => FlushCause::Capacity,
-                MergeCause::GuestRead => FlushCause::GuestRead,
-                MergeCause::HostAccess => FlushCause::HostAccess,
-            },
+            cause,
         });
         cost
     }

@@ -11,7 +11,9 @@
 //! * [`spec`] — mechanical timing parameters ([`DiskSpec::hdd_7200`] matches
 //!   the paper's Seagate Constellation testbed disk),
 //! * [`model`] — the device itself: head position, queueing, per-request
-//!   latency, and sequential-access detection,
+//!   latency, and sequential-access detection; a request's direction
+//!   ([`IoKind`]) and issuer ([`IoTag`]) are the event taxonomy's own
+//!   enums, from [`sim_obs`], re-exported here,
 //! * [`layout`] — carves one physical device into regions (guest disk
 //!   images, the host swap area).
 //!
@@ -52,9 +54,10 @@ pub mod spec;
 pub use error::{IoError, IoErrorKind};
 pub use geometry::{SectorAddr, SectorRange, PAGE_SECTORS, PAGE_SIZE, SECTOR_SIZE};
 pub use layout::{DiskLayout, DiskRegion, LayoutError};
-pub use model::{CompletedIo, DiskModel, DiskStats, IoKind, IoTag};
+pub use model::{CompletedIo, DiskModel, DiskStats};
 pub use sim_fault::{
     entity_key, ClusterFaultConfig, ClusterFaultPlan, ClusterFaultProfile, FaultConfig, FaultKind,
     FaultPlan, FaultProfile, InjectedFault, LinkFault,
 };
+pub use sim_obs::{IoKind, IoTag};
 pub use spec::DiskSpec;

@@ -14,54 +14,7 @@ use crate::geometry::SectorRange;
 use crate::spec::DiskSpec;
 use sim_core::{SimDuration, SimTime};
 use sim_fault::{FaultKind, FaultPlan, InjectedFault};
-use sim_obs::{Event, EventLog, FaultTag, IoClass, IoDir};
-
-/// Maps the request direction onto the event taxonomy.
-fn io_dir(kind: IoKind) -> IoDir {
-    match kind {
-        IoKind::Read => IoDir::Read,
-        IoKind::Write => IoDir::Write,
-    }
-}
-
-/// Maps the request issuer onto the event taxonomy.
-fn io_class(tag: IoTag) -> IoClass {
-    match tag {
-        IoTag::GuestImage => IoClass::GuestImage,
-        IoTag::HostSwap => IoClass::HostSwap,
-    }
-}
-
-/// Maps the fault plan's taxonomy onto the event taxonomy.
-fn fault_tag(kind: FaultKind) -> FaultTag {
-    match kind {
-        FaultKind::Latent => FaultTag::Latent,
-        FaultKind::Transient => FaultTag::Transient,
-        FaultKind::Timeout => FaultTag::Timeout,
-        FaultKind::Torn => FaultTag::Torn,
-    }
-}
-
-/// Whether a request reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoKind {
-    /// Data moves from disk to memory.
-    Read,
-    /// Data moves from memory to disk.
-    Write,
-}
-
-/// What part of the storage stack issued a request; used to attribute
-/// sectors to the counters the paper reports (e.g. Figure 9d counts sectors
-/// written *to the host swap area* only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoTag {
-    /// A guest virtual-disk image access (explicit guest I/O, guest swap,
-    /// or Mapper re-reads of named pages).
-    GuestImage,
-    /// A host swap-area access (uncooperative swapping traffic).
-    HostSwap,
-}
+use sim_obs::{Event, EventLog, IoKind, IoTag};
 
 /// The outcome of a submitted request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,8 +331,8 @@ impl DiskModel {
         self.stats.doorbells += 1;
         let qi = self.pick_queue(now);
         self.events.emit_with(now, None, || Event::DiskIssue {
-            dir: io_dir(kind),
-            class: io_class(tag),
+            dir: kind,
+            class: tag,
             sector: range.start(),
             sectors: range.len(),
             queue: qi as u32,
@@ -430,8 +383,8 @@ impl DiskModel {
         }
 
         self.events.emit_with(finished, None, || Event::DiskComplete {
-            dir: io_dir(kind),
-            class: io_class(tag),
+            dir: kind,
+            class: tag,
             sector: range.start(),
             sectors: range.len(),
             latency: finished - now,
@@ -497,10 +450,10 @@ impl DiskModel {
             self.queues[qi].head = Some(fault.sector);
         }
         self.events.emit_with(finished, None, || Event::DiskFault {
-            dir: io_dir(kind),
-            class: io_class(tag),
+            dir: kind,
+            class: tag,
             sector: fault.sector,
-            fault: fault_tag(fault.kind),
+            fault: fault.kind,
             queue: qi as u32,
         });
         IoError { kind: error_kind, sector: fault.sector, wasted: finished - now }
@@ -543,8 +496,8 @@ impl DiskModel {
         self.stats.doorbells += 1;
         let qi = self.pick_queue(now);
         self.events.emit_with(now, None, || Event::DiskIssue {
-            dir: IoDir::Write,
-            class: io_class(tag),
+            dir: IoKind::Write,
+            class: tag,
             sector: range.start(),
             sectors: range.len(),
             queue: qi as u32,
@@ -578,8 +531,8 @@ impl DiskModel {
             self.stats.swap_sectors_written += range.len();
         }
         self.events.emit_with(finished, None, || Event::DiskComplete {
-            dir: IoDir::Write,
-            class: io_class(tag),
+            dir: IoKind::Write,
+            class: tag,
             sector: range.start(),
             sectors: range.len(),
             latency: finished - now,

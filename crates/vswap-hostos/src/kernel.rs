@@ -450,11 +450,6 @@ impl HostKernel {
         self.vms[vm.index()].charged
     }
 
-    /// The VM's host-enforced memory limit in pages.
-    pub fn mem_limit(&self, vm: VmId) -> u64 {
-        self.vms[vm.index()].mem_limit
-    }
-
     /// Number of resident (EPT-present) guest pages of the VM.
     pub fn resident_pages(&self, vm: VmId) -> u64 {
         self.vms[vm.index()].ept.resident_pages()
@@ -469,11 +464,6 @@ impl HostKernel {
     /// Content currently stored at `page` of the VM's disk image.
     pub fn image_label(&self, vm: VmId, page: u64) -> ContentLabel {
         self.vms[vm.index()].image.label(page)
-    }
-
-    /// Size of the VM's disk image in pages.
-    pub fn image_pages(&self, vm: VmId) -> u64 {
-        self.vms[vm.index()].image.pages()
     }
 
     /// True if the guest page is EPT-present.
@@ -647,7 +637,6 @@ impl HostKernel {
                 matches!(o,
                     FrameOwner::Guest { vm: v, .. }
                     | FrameOwner::HypervisorCode { vm: v, .. }
-                    | FrameOwner::PageCache { vm: v, .. }
                     | FrameOwner::WriteBuffer { vm: v, .. } if *v == vm)
             })
             .collect();
@@ -1764,9 +1753,6 @@ impl HostKernel {
                 debug_assert_eq!(owner_vm, vm);
                 self.vms[vm.index()].hv_code_frames[page as usize] = None;
             }
-            FrameOwner::PageCache { .. } => {
-                // Clean by construction: just drop it.
-            }
             FrameOwner::WriteBuffer { .. } | FrameOwner::Free => {
                 unreachable!("pinned or free frames never sit on LRU lists")
             }
@@ -1914,7 +1900,6 @@ impl HostKernel {
                     }
                     (vm, true)
                 }
-                FrameOwner::PageCache { vm, .. } => (vm, true),
                 FrameOwner::WriteBuffer { vm, .. } => (vm, false),
                 FrameOwner::Free => unreachable!("iter_allocated skips free frames"),
             };

@@ -58,14 +58,6 @@ pub enum FrameOwner {
         /// Guest frame number the frame backs.
         gfn: Gfn,
     },
-    /// Holds a disk-image block in the host page cache (Mapper-managed
-    /// named page that currently has no guest mapping, mid-transition).
-    PageCache {
-        /// Owning VM (whose disk image the block belongs to).
-        vm: VmId,
-        /// Page index inside that VM's disk image.
-        image_page: u64,
-    },
     /// Part of the hosted hypervisor's executable (QEMU code): the only
     /// *named* memory in a baseline guest address space, and therefore the
     /// host's preferred reclaim victim — the "false page anonymity" twist.
@@ -84,20 +76,11 @@ pub enum FrameOwner {
     },
 }
 
-impl FrameOwner {
-    /// True if the frame is *named* (file-backed) from the host kernel's
-    /// point of view, i.e. can be reclaimed by discarding.
-    pub fn is_named(self) -> bool {
-        matches!(self, FrameOwner::PageCache { .. } | FrameOwner::HypervisorCode { .. })
-    }
-}
-
 // Packed owner encoding: `0` is `Free`, so a freshly zeroed table is a
 // table of free frames and `HostFrameTable::new` never touches its pages.
 // Bits 0..3 hold the owner kind, bits 3..32 the VM id, bits 32..64 the
-// owner-specific page number (gfn / image page / code page).
+// owner-specific page number (gfn / code page).
 const KIND_GUEST: u64 = 1;
-const KIND_PAGE_CACHE: u64 = 2;
 const KIND_HYPERVISOR_CODE: u64 = 3;
 const KIND_WRITE_BUFFER: u64 = 4;
 const KIND_BITS: u64 = 0x7;
@@ -109,7 +92,6 @@ fn pack_owner(owner: FrameOwner) -> u64 {
     let (kind, vm, page) = match owner {
         FrameOwner::Free => return 0,
         FrameOwner::Guest { vm, gfn } => (KIND_GUEST, vm, gfn.get()),
-        FrameOwner::PageCache { vm, image_page } => (KIND_PAGE_CACHE, vm, image_page),
         FrameOwner::HypervisorCode { vm, page } => (KIND_HYPERVISOR_CODE, vm, page),
         FrameOwner::WriteBuffer { vm, gfn } => (KIND_WRITE_BUFFER, vm, gfn.get()),
     };
@@ -126,7 +108,6 @@ fn unpack_owner(bits: u64) -> FrameOwner {
     let page = bits >> PAGE_SHIFT;
     match bits & KIND_BITS {
         KIND_GUEST => FrameOwner::Guest { vm, gfn: Gfn::new(page) },
-        KIND_PAGE_CACHE => FrameOwner::PageCache { vm, image_page: page },
         KIND_HYPERVISOR_CODE => FrameOwner::HypervisorCode { vm, page },
         KIND_WRITE_BUFFER => FrameOwner::WriteBuffer { vm, gfn: Gfn::new(page) },
         kind => unreachable!("corrupt frame owner kind {kind}"),
@@ -400,20 +381,10 @@ mod tests {
     }
 
     #[test]
-    fn owner_classification() {
-        let vm = VmId::new(0);
-        assert!(!FrameOwner::Guest { vm, gfn: Gfn::new(0) }.is_named());
-        assert!(FrameOwner::PageCache { vm, image_page: 0 }.is_named());
-        assert!(FrameOwner::HypervisorCode { vm, page: 0 }.is_named());
-        assert!(!FrameOwner::WriteBuffer { vm, gfn: Gfn::new(0) }.is_named());
-        assert!(!FrameOwner::Free.is_named());
-    }
-
-    #[test]
     fn retagging_owner() {
         let mut t = HostFrameTable::new(1);
         let vm = VmId::new(0);
-        let f = t.alloc(FrameOwner::PageCache { vm, image_page: 9 }).unwrap();
+        let f = t.alloc(FrameOwner::WriteBuffer { vm, gfn: Gfn::new(3) }).unwrap();
         t.set_owner(f, FrameOwner::Guest { vm, gfn: Gfn::new(3) });
         assert_eq!(t.owner(f), FrameOwner::Guest { vm, gfn: Gfn::new(3) });
     }

@@ -59,6 +59,28 @@ fn a_guest_smaller_than_its_kernel_is_a_config_error() {
 }
 
 #[test]
+fn analyze_rejects_a_malformed_stamp_and_names_its_line() {
+    let dir = std::env::temp_dir().join(format!("vswap-cli-analyze-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad.jsonl");
+    std::fs::write(
+        &path,
+        concat!(
+            r#"{"seq":0,"ns":100,"vm":0,"kind":"page_fault","span":1}"#,
+            "\n",
+            r#"{"seq":1,"ns":"late","vm":0,"kind":"disk_complete","parent":1,"latency_ns":2.5}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    let out = vswap(&["analyze", path.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "a malformed stamp must fail the analysis");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 2:"), "the error must name the line: {stderr}");
+}
+
+#[test]
 fn suite_subcommands_reject_the_options_they_ignore() {
     let cases: [(&str, &[&str]); 5] = [
         ("figures", &["--bless"]),

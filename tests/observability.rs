@@ -411,3 +411,25 @@ fn counter_records_keep_their_report_keys() {
         ]
     );
 }
+
+/// The README's event-taxonomy table lists every kind under its own
+/// component, so a new kind cannot ship undocumented.
+#[test]
+fn readme_lists_every_event_kind_under_its_component() {
+    let readme = include_str!("../README.md");
+    let section = readme.split("### Event taxonomy").nth(1).expect("README has the section");
+    let rows: Vec<&str> = section.lines().filter(|l| l.starts_with("| `")).collect();
+    for kind in EventKind::ALL {
+        let cell = format!("| `{}`", kind.component());
+        let row = rows
+            .iter()
+            .find(|r| r.starts_with(&cell))
+            .unwrap_or_else(|| panic!("no README row for component `{}`", kind.component()));
+        assert!(
+            row.contains(&format!("`{}`", kind.name())),
+            "README's `{}` row lacks `{}`",
+            kind.component(),
+            kind.name()
+        );
+    }
+}
